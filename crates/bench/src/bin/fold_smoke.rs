@@ -1,55 +1,107 @@
-//! Fold smoke test — fused vs sequential accumulation equivalence, fast
-//! enough for every push (CI's `fold-smoke` step, `just fold-smoke`).
+//! Fold smoke test — the fused accumulation checked against the
+//! whole-image oracle, fast enough for every push (CI's `fold-smoke`
+//! step, `just fold-smoke`).
 //!
-//! Runs the strip and tile-grid analyzers over a few synthetic rasters in
-//! both fold modes (sequential per-pixel pass vs fused per-chunk
-//! partials), synchronous and pipelined, sequential and multi-threaded,
-//! and compares every [`ComponentRecord`] **field by field** — id, area,
-//! bbox, centroid, anchor, perimeter, holes — plus emission order. Any
-//! mismatch prints the offending record pair and exits non-zero.
+//! Runs the strip and tile-grid analyzers over a few synthetic rasters,
+//! synchronous and pipelined, sequential and multi-threaded, and checks
+//! every [`ComponentRecord`] **field by field** against whole-image
+//! AREMSP + `region_properties` + `count_holes_per_label` + a brute-force
+//! 4-edge perimeter, matched by anchor: area, bbox, centroid, perimeter,
+//! holes — and the id, which must increase with the raster order of
+//! anchors. Any mismatch prints the offending pair and exits non-zero.
 //!
 //! ```text
 //! cargo run --release -p ccl-bench --bin fold_smoke
 //! ```
 
+use ccl_core::analysis::{count_holes_per_label, region_properties};
+use ccl_core::seq::aremsp;
 use ccl_datasets::synth::blobs::{blob_field, BlobParams};
 use ccl_datasets::synth::noise::bernoulli;
 use ccl_datasets::synth::texture::rings;
 use ccl_image::BinaryImage;
 use ccl_stream::{
-    analyze_stream, analyze_stream_pipelined, ComponentRecord, FoldMode, OwnedMemorySource,
-    StripConfig,
+    analyze_stream, analyze_stream_pipelined, ComponentRecord, OwnedMemorySource, StripConfig,
 };
-use ccl_tiles::{analyze_tiles, analyze_tiles_pipelined, GridSource, TileGridConfig};
+use ccl_tiles::{analyze_tiles, analyze_tiles_pipelined, GridSource};
 
-/// Compares two record lists field by field, reporting the first
-/// divergence (records are emitted in a deterministic order, so index i
-/// must match index i).
-fn compare(label: &str, seq: &[ComponentRecord], fused: &[ComponentRecord]) -> bool {
-    if seq.len() != fused.len() {
+/// One whole-image component: anchor, area, bbox, centroid, perimeter,
+/// holes.
+type Expected = (
+    (usize, usize),
+    u64,
+    (usize, usize, usize, usize),
+    (f64, f64),
+    u64,
+    u64,
+);
+
+/// The oracle's components, sorted by anchor.
+fn oracle(img: &BinaryImage) -> Vec<Expected> {
+    let labels = aremsp(img);
+    let n = labels.num_components() as usize;
+    let w = img.width();
+    let mut anchor = vec![None; n + 1];
+    let mut perimeter = vec![0u64; n + 1];
+    for (i, &l) in labels.as_slice().iter().enumerate() {
+        if l == 0 {
+            continue;
+        }
+        let (r, c) = (i / w, i % w);
+        anchor[l as usize].get_or_insert((r, c));
+        perimeter[l as usize] += [(-1isize, 0isize), (1, 0), (0, -1), (0, 1)]
+            .iter()
+            .filter(|&&(dr, dc)| img.get_or_bg(r as isize + dr, c as isize + dc) == 0)
+            .count() as u64;
+    }
+    let holes = count_holes_per_label(&labels);
+    let mut out: Vec<Expected> = region_properties(&labels)
+        .into_iter()
+        .map(|region| {
+            let l = region.label as usize;
+            (
+                anchor[l].expect("every label has a pixel"),
+                region.area as u64,
+                region.bbox,
+                region.centroid,
+                perimeter[l],
+                holes[l - 1],
+            )
+        })
+        .collect();
+    out.sort_unstable_by_key(|e| e.0);
+    out
+}
+
+/// Checks `records` against the oracle field by field, reporting the
+/// first divergence.
+fn check(label: &str, expected: &[Expected], records: &[ComponentRecord]) -> bool {
+    if records.len() != expected.len() {
         eprintln!(
-            "FAIL {label}: {} components sequential vs {} fused",
-            seq.len(),
-            fused.len()
+            "FAIL {label}: {} components streamed vs {} in the whole image",
+            records.len(),
+            expected.len()
         );
         return false;
     }
-    for (i, (s, f)) in seq.iter().zip(fused).enumerate() {
+    let mut sorted: Vec<&ComponentRecord> = records.iter().collect();
+    sorted.sort_unstable_by_key(|r| r.anchor);
+    let mut prev_id = 0;
+    for (e, r) in expected.iter().zip(sorted) {
         let fields: [(&str, bool); 7] = [
-            ("id", s.id == f.id),
-            ("area", s.area == f.area),
-            ("bbox", s.bbox == f.bbox),
-            ("centroid", s.centroid == f.centroid),
-            ("anchor", s.anchor == f.anchor),
-            ("perimeter", s.perimeter == f.perimeter),
-            ("holes", s.holes == f.holes),
+            ("anchor", r.anchor == e.0),
+            ("area", r.area == e.1),
+            ("bbox", r.bbox == e.2),
+            ("centroid", r.centroid == e.3),
+            ("perimeter", r.perimeter == e.4),
+            ("holes", r.holes == e.5),
+            ("id", r.id > prev_id),
         ];
         if let Some((field, _)) = fields.iter().find(|(_, ok)| !ok) {
-            eprintln!(
-                "FAIL {label}: record {i} differs in `{field}`:\n  seq   {s:?}\n  fused {f:?}"
-            );
+            eprintln!("FAIL {label}: `{field}` differs:\n  oracle {e:?}\n  record {r:?}");
             return false;
         }
+        prev_id = r.id;
     }
     true
 }
@@ -76,71 +128,38 @@ fn main() {
     let mut checks = 0usize;
     let mut ok = true;
     for (name, img) in &images {
+        let expected = oracle(img);
         for threads in [1usize, 4] {
-            let strip = |fold| StripConfig::parallel(threads).with_fold(fold);
-            let grid = |fold| TileGridConfig::parallel(threads).with_fold(fold);
-
-            // strip labeler, synchronous
-            let run_strip = |fold| {
-                let mut src = OwnedMemorySource::new(img.clone());
-                analyze_stream(&mut src, 32, strip(fold)).expect("in-memory stream")
-            };
-            let (seq, _) = run_strip(FoldMode::Sequential);
-            let (fused, _) = run_strip(FoldMode::Fused);
-            ok &= compare(&format!("{name} strip {threads}t"), &seq, &fused);
-            checks += 1;
-
-            // strip labeler, pipelined (scan ∥ merge)
-            let run_strip_pipe = |fold| {
-                let mut src = OwnedMemorySource::new(img.clone());
-                analyze_stream_pipelined(&mut src, 32, strip(fold)).expect("in-memory stream")
-            };
-            let (pseq, _) = run_strip_pipe(FoldMode::Sequential);
-            let (pfused, _) = run_strip_pipe(FoldMode::Fused);
-            ok &= compare(
-                &format!("{name} strip-pipelined {threads}t"),
-                &pseq,
-                &pfused,
-            );
-            ok &= compare(
-                &format!("{name} strip sync-vs-pipelined {threads}t"),
-                &seq,
-                &pfused,
-            );
-            checks += 2;
-
-            // tile grid, synchronous + pipelined
-            let run_tiles = |fold| {
-                let mut src = GridSource::from_image(img, 24, 24);
-                analyze_tiles(&mut src, grid(fold)).expect("in-memory grid")
-            };
-            let (tseq, _) = run_tiles(FoldMode::Sequential);
-            let (tfused, _) = run_tiles(FoldMode::Fused);
-            ok &= compare(&format!("{name} tiles {threads}t"), &tseq, &tfused);
-            checks += 1;
-
-            let run_tiles_pipe = |fold| {
-                let mut src = GridSource::from_image(img, 24, 24);
-                analyze_tiles_pipelined(&mut src, grid(fold)).expect("in-memory grid")
-            };
-            let (tpseq, _) = run_tiles_pipe(FoldMode::Sequential);
-            let (tpfused, _) = run_tiles_pipe(FoldMode::Fused);
-            ok &= compare(
-                &format!("{name} tiles-pipelined {threads}t"),
-                &tpseq,
-                &tpfused,
-            );
-            ok &= compare(
-                &format!("{name} tiles sync-vs-pipelined {threads}t"),
-                &tseq,
-                &tpfused,
-            );
-            checks += 2;
+            let cfg = StripConfig::parallel(threads);
+            let strip = || OwnedMemorySource::new(img.clone());
+            let grid = || GridSource::from_image(img, 24, 24);
+            let strips = [
+                ("strip", analyze_stream(&mut strip(), 32, cfg.clone())),
+                (
+                    "strip-pipelined",
+                    analyze_stream_pipelined(&mut strip(), 32, cfg.clone()),
+                ),
+            ]
+            .map(|(mode, run)| (mode, run.expect("in-memory stream").0));
+            let grids = [
+                ("tiles", analyze_tiles(&mut grid(), cfg.clone())),
+                (
+                    "tiles-pipelined",
+                    analyze_tiles_pipelined(&mut grid(), cfg.clone()),
+                ),
+            ]
+            .map(|(mode, run)| (mode, run.expect("in-memory grid").0));
+            for (mode, records) in strips.iter().chain(&grids) {
+                ok &= check(&format!("{name} {mode} {threads}t"), &expected, records);
+                checks += 1;
+            }
         }
     }
 
     if ok {
-        println!("fold-smoke PASS: {checks} fused-vs-sequential comparisons, records identical field by field");
+        println!(
+            "fold-smoke PASS: {checks} analyzer runs match the whole-image oracle field by field"
+        );
     } else {
         eprintln!("fold-smoke FAILED");
         std::process::exit(1);

@@ -37,7 +37,6 @@ use serde::Serialize;
 
 const USAGE: &str = "pipeline_demo: decode/scan/merge overlap on a generation-bound workload
   --reps N         repetitions per mode (default 3)
-  --fold MODE      accumulation strategy: fused (default) or seq
   --depth N        prefetch queue depth (default 2)
   --json PATH      snapshot path (default results/BENCH_pipeline.json)";
 
@@ -69,16 +68,12 @@ struct PipelineBench {
     tile: usize,
     depth: usize,
     device_latency_ms: f64,
-    /// Accumulation strategy (`--fold`): `fused` folds component analysis
-    /// into the scan stage, `seq` is the sequential per-pixel baseline.
-    fold: String,
     rows_modes: Vec<Mode>,
     tiles_modes: Vec<Mode>,
 }
 
 fn main() {
     let args = BinArgs::parse(USAGE);
-    let fold = args.fold_or_default();
     let json_path = args
         .json
         .clone()
@@ -116,7 +111,7 @@ fn main() {
     };
 
     // --- row bands ---
-    let strip_cfg = || StripConfig::default().with_fold(fold);
+    let strip_cfg = StripConfig::default;
     let rows_sync = measure("rows sync", None, &mut || {
         let mut src = source();
         let mut sink = CountComponents::default();
@@ -150,7 +145,7 @@ fn main() {
     assert_eq!(rows_full.components, rows_sync.components);
 
     // --- tile grid ---
-    let tile_cfg = || TileGridConfig::default().with_fold(fold);
+    let tile_cfg = TileGridConfig::default;
     let tiles_sync = measure("tiles sync", None, &mut || {
         let mut grid = GridSource::new(source(), TILE, TILE);
         let mut sink = CountComponents::default();
@@ -191,7 +186,6 @@ fn main() {
         tile: TILE,
         depth: args.depth,
         device_latency_ms: DEVICE_LATENCY.as_secs_f64() * 1e3,
-        fold: fold.to_string(),
         rows_modes: vec![rows_sync, rows_pf, rows_pipe, rows_full],
         tiles_modes: vec![tiles_sync, tiles_pipe, tiles_full],
     };

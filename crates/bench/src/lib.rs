@@ -86,8 +86,7 @@ pub fn paremsp_phase_ms_best_of(
 
 /// Tiny CLI-argument helper shared by the table binaries: supports
 /// `--scale <f64>`, `--reps <usize>`, `--threads <csv>`, `--json <path>`,
-/// `--merger <locked|cas>`, `--fold <seq|fused>`, `--prefetch`,
-/// `--pipeline`, `--depth <n>`, `--print-sizes` and `--help`.
+/// `--merger <locked|cas>`, `--prefetch`, `--pipeline`, `--depth <n>`, `--print-sizes` and `--help`.
 #[derive(Debug, Clone)]
 pub struct BinArgs {
     /// NLCD scale factor (fraction of the Table III sizes).
@@ -101,8 +100,6 @@ pub struct BinArgs {
     /// Optional boundary-merger override (parsed via
     /// [`MergerKind::from_str`](std::str::FromStr)).
     pub merger: Option<ccl_core::par::MergerKind>,
-    /// Optional accumulation-strategy override (`--fold seq|fused`).
-    pub fold: Option<ccl_stream::FoldMode>,
     /// `--prefetch`: wrap the source in a `ccl-pipeline` prefetcher
     /// (decode on a worker thread).
     pub prefetch: bool,
@@ -123,7 +120,6 @@ impl Default for BinArgs {
             json: None,
             threads: None,
             merger: None,
-            fold: None,
             prefetch: false,
             pipeline: false,
             depth: 2,
@@ -139,13 +135,6 @@ impl BinArgs {
     /// semantics exist exactly once.
     pub fn merger_or_default(&self) -> ccl_core::par::MergerKind {
         self.merger.unwrap_or_default()
-    }
-
-    /// The accumulation strategy to use: the `--fold` override when
-    /// given, otherwise the default ([`ccl_stream::FoldMode::Fused`]).
-    /// Shared by `stream_demo`, `tiles_demo` and `pipeline_demo`.
-    pub fn fold_or_default(&self) -> ccl_stream::FoldMode {
-        self.fold.unwrap_or_default()
     }
 
     /// Parses `std::env::args`, printing `usage` and exiting on `--help`
@@ -191,12 +180,6 @@ impl BinArgs {
                 "--merger" => {
                     out.merger = Some(value("--merger").parse().unwrap_or_else(|e| {
                         eprintln!("invalid --merger: {e}\n{usage}");
-                        std::process::exit(2);
-                    }))
-                }
-                "--fold" => {
-                    out.fold = Some(value("--fold").parse().unwrap_or_else(|e| {
-                        eprintln!("invalid --fold: {e}\n{usage}");
                         std::process::exit(2);
                     }))
                 }
@@ -297,8 +280,6 @@ mod tests {
         assert!(a.reps >= 1);
         assert!(a.json.is_none());
         assert!(a.merger.is_none());
-        assert!(a.fold.is_none());
-        assert_eq!(a.fold_or_default(), ccl_stream::FoldMode::Fused);
         assert!(!a.prefetch);
         assert!(!a.pipeline);
         assert_eq!(a.depth, 2);

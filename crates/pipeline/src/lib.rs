@@ -16,12 +16,14 @@
 //!   bands/tile rows through a bounded double buffer (configurable depth,
 //!   backpressure, clean shutdown on drop). Both implement the original
 //!   source traits, so every existing driver composes unchanged.
-//! * the **pipelined tile-row executors** in `ccl-tiles`
-//!   ([`ccl_tiles::pipeline`], driven by
-//!   [`analyze_tiles_pipelined`](ccl_tiles::analyze_tiles_pipelined) and
-//!   friends) — row *k + 1*'s per-tile scans overlap row *k*'s seam
-//!   merge / accumulation / spill, the carry row being the only
-//!   dependency handed across a rendezvous.
+//! * the **pipelined scan ∥ merge executor** in `ccl-stream`
+//!   ([`ccl_stream::pipeline`]), which every `*_pipelined` driver of both
+//!   engines runs on — e.g.
+//!   [`analyze_stream_pipelined`](ccl_stream::analyze_stream_pipelined)
+//!   and [`analyze_tiles_pipelined`](ccl_tiles::analyze_tiles_pipelined):
+//!   band (or tile row) *k + 1*'s scan overlaps band *k*'s carry merge /
+//!   accumulation / spill, the carry row being the only dependency
+//!   handed across a rendezvous.
 //!
 //! Stacked, they form a three-stage pipeline — decode ∥ scan ∥
 //! merge/spill — with bit-identical output to the synchronous paths.

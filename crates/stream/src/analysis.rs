@@ -13,8 +13,7 @@
 //!
 //! # Partial accumulators and the seam fold (fused analysis)
 //!
-//! The fused accumulation path ([`FoldMode::Fused`](crate::FoldMode), the
-//! default) never walks the pixels in a separate sequential pass.
+//! The engines never walk the pixels in a separate sequential pass.
 //! Instead every *scan worker* builds a **partial accumulator table**
 //! keyed by provisional label while it scans its chunk (or tile), and
 //! the seam/merge stage combines partials per *label*, not per pixel.
@@ -29,7 +28,7 @@
 //!    raster-min anchor are all folded with a **commutative, associative**
 //!    operation whose identity is [`Accum::EMPTY`] — so any partition of
 //!    the pixels into partials, folded in any order, reproduces the
-//!    sequential fold bit for bit (property-tested in
+//!    raster-order fold bit for bit (property-tested in
 //!    `tests/proptest_accum.rs`).
 //! 2. **Attribution follows connectivity.** A perimeter/Euler delta is
 //!    attributed to the pixel that closes it, and the neighbours it
@@ -37,11 +36,12 @@
 //!    per-component sums survive arbitrary chunk/tile/seam merges.
 //! 3. **Partials stay where their label is.** A chunk's partials live in
 //!    the chunk's disjoint provisional-label range, so scan workers
-//!    write without synchronization. The merge stage folds each used
-//!    label's partial onto its union-find root — O(labels), not
-//!    O(pixels) — either *during* the carry seam (sequential stores,
-//!    via [`ccl_core::scan::FoldingStore`]) or right after it
-//!    (concurrent stores, where folding inside the merger would race).
+//!    write without synchronization. The merge stage ([`crate::merge`])
+//!    folds each used label's partial onto its union-find root —
+//!    O(labels), not O(pixels) — either *during* the carry seam
+//!    (sequential stores, via [`ccl_core::scan::FoldingStore`]) or right
+//!    after it (concurrent stores, where folding inside the merger would
+//!    race).
 //!    The only pixels the merge stage ever touches are the band's (or
 //!    tile row's) **first line**, whose upper neighbours are the carry
 //!    row the scan stage must not depend on — an O(width) absorb.
@@ -87,10 +87,10 @@ pub struct ComponentRecord {
 /// Running accumulator behind a [`ComponentRecord`]. `area == 0` marks an
 /// unused slot.
 ///
-/// Public because it is the reusable building block for any labeler with
-/// the "open components fold on merge" structure — the strip labeler here
-/// and the tile-grid labeler in `ccl-tiles` share it. Ordinary consumers
-/// only ever see the finished [`ComponentRecord`]s.
+/// Public because it is the payload of the partial tables a scan hands to
+/// the merge stage ([`ScannedRows`](crate::merge::ScannedRows)), which the
+/// `ccl-tiles` tile scan fills too. Ordinary consumers only ever see the
+/// finished [`ComponentRecord`]s.
 #[derive(Debug, Clone, Copy)]
 pub struct Accum {
     /// Pixels accumulated so far (0 = unused slot).

@@ -17,77 +17,37 @@
 //! are emitted through [`ComponentSink`] and their slots reused.
 //!
 //! The per-band work splits into two stages with one dependency between
-//! consecutive bands (mirroring the `ccl-tiles` grid labeler):
+//! consecutive bands:
 //!
 //! * **scan stage** (`scan_band`) — the two-line scan + RemSP
 //!   ([`StripConfig::threads`]` == 1`) or full PAREMSP across threads
-//!   within the resident band, chunk-boundary seams included. Carried
-//!   ids are reserved by capacity (the synchronous path passes the exact
+//!   within the resident band, chunk-boundary seams included. Each scan
+//!   worker also builds the per-chunk **partial accumulator table** for
+//!   its pixels while it scans (see [`crate::analysis`]). Carried ids are
+//!   reserved by capacity (the synchronous path passes the exact
 //!   open-component count, the pipelined executor the width bound
-//!   `⌈w/2⌉`), so the stage never looks at the carry row. In
-//!   [`FoldMode::Fused`] each scan worker also builds the per-chunk
-//!   **partial accumulator table** for its pixels while it scans (see
-//!   [`crate::analysis`] for the invariants).
-//! * **merge stage** (`StripLabeler::merge_scanned_band`) — the carry
-//!   seam, the accumulator fold (per *label* when fused, per pixel in
-//!   [`FoldMode::Sequential`]), compaction and component emission:
-//!   inherently sequential, because each band's carry feeds the next.
-//!
-//! Both modes and both fold paths produce identical output — the
-//! band-end bookkeeping only ever sees set-minimum roots, which every
-//! path agrees on, and the fused fold is exact (commutative, associative,
-//! integer-valued f64 sums).
+//!   [`carry_bound`](crate::merge::carry_bound)), so the stage never looks
+//!   at the carry row.
+//! * **merge stage** ([`CarryMerge::merge`]) — the carry seam, the
+//!   per-label fold, compaction and component emission, shared with the
+//!   `ccl-tiles` grid labeler: inherently sequential, because each band's
+//!   carry feeds the next. The strip labeler only adds its own output,
+//!   the labeled strip.
 
 use std::ops::Range;
 
 use ccl_core::par::MergerKind;
-use ccl_core::scan::{max_labels_two_line, merge_seam, scan_two_line, split_spans, FoldingStore};
+use ccl_core::scan::{max_labels_two_line, scan_two_line, split_spans};
 use ccl_image::BinaryImage;
-use ccl_unionfind::par::ConcurrentParents;
 use ccl_unionfind::{EquivalenceStore, RemSP, UnionFind};
 
 use crate::analysis::{Accum, ComponentSink, LabelSink};
 use crate::error::StreamError;
-use crate::parallel::{carry_seam_parallel, scan_band_parallel};
+use crate::merge::{BandUf, CarryMerge, MergedRows, ScannedRows};
+use crate::parallel::scan_band_parallel;
 
-/// How component statistics are accumulated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FoldMode {
-    /// One sequential pass over the band's pixels after the seams (the
-    /// pre-fused baseline, kept for comparison benches).
-    Sequential,
-    /// Scan workers build per-chunk partial accumulator tables while they
-    /// scan; the merge stage folds partials per label as (or right after)
-    /// the seams union them. No sequential per-pixel pass remains — the
-    /// default.
-    #[default]
-    Fused,
-}
-
-impl std::fmt::Display for FoldMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            FoldMode::Sequential => "seq",
-            FoldMode::Fused => "fused",
-        })
-    }
-}
-
-impl std::str::FromStr for FoldMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "seq" | "sequential" => Ok(FoldMode::Sequential),
-            "fused" => Ok(FoldMode::Fused),
-            other => Err(format!(
-                "unknown fold mode `{other}` (expected seq or fused)"
-            )),
-        }
-    }
-}
-
-/// Configuration for [`StripLabeler`].
+/// Configuration for [`StripLabeler`] (and, as `TileGridConfig`, for the
+/// `ccl-tiles` grid labeler).
 #[derive(Debug, Clone)]
 pub struct StripConfig {
     /// Worker threads for the in-band scan (1 = sequential AREMSP).
@@ -96,8 +56,6 @@ pub struct StripConfig {
     pub merger: MergerKind,
     /// Lock stripes for [`MergerKind::Locked`]; `None` = default.
     pub lock_stripes: Option<usize>,
-    /// Accumulation strategy (default [`FoldMode::Fused`]).
-    pub fold: FoldMode,
 }
 
 impl Default for StripConfig {
@@ -106,7 +64,6 @@ impl Default for StripConfig {
             threads: 1,
             merger: MergerKind::default(),
             lock_stripes: None,
-            fold: FoldMode::default(),
         }
     }
 }
@@ -130,12 +87,6 @@ impl StripConfig {
         self.merger = merger;
         self
     }
-
-    /// Builder: replaces the accumulation strategy.
-    pub fn with_fold(mut self, fold: FoldMode) -> Self {
-        self.fold = fold;
-        self
-    }
 }
 
 /// Summary returned by [`StripLabeler::finish`].
@@ -155,107 +106,21 @@ pub struct StreamStats {
     pub peak_resident_rows: usize,
 }
 
-/// Post-scan view of one band's (or tile row's) equivalences: sequential
-/// RemSP or the parallel shared parent array. Both are Rem-family
-/// (parents ≤ children), so [`BandUf::find`] returns the set's minimum
-/// label in either case — the property the end-of-band bookkeeping
-/// relies on for mode-independent output.
-///
-/// Public for the same reason as [`Accum`]: it is the mode-bridging
-/// building block shared by every labeler with the strip structure (the
-/// `ccl-tiles` grid labeler reuses it verbatim).
-pub enum BandUf {
-    /// Sequential mode: one RemSP store owns the whole label space.
-    Seq(RemSP),
-    /// Parallel mode: the shared parent array the worker scans and
-    /// seam merges operated on (all workers joined).
-    Par(ConcurrentParents),
-}
-
-impl BandUf {
-    /// Root (set minimum) of `x`'s equivalence class.
-    #[inline]
-    pub fn find(&mut self, x: u32) -> u32 {
-        match self {
-            BandUf::Seq(uf) => uf.find(x),
-            BandUf::Par(p) => {
-                let mut r = x;
-                loop {
-                    let q = p.load(r);
-                    if q == r {
-                        return r;
-                    }
-                    r = q;
-                }
-            }
-        }
-    }
-
-    /// Memoized [`BandUf::find`]: `cache` holds one slot per label
-    /// (`u32::MAX` = unresolved). The merge stage's per-label fold,
-    /// compaction and gid-fill passes all resolve through one cache —
-    /// callers that resolve *before* a late seam must not reuse the
-    /// same cache after it.
-    #[inline]
-    pub fn find_cached(&mut self, cache: &mut [u32], x: u32) -> u32 {
-        if cache[x as usize] != u32::MAX {
-            cache[x as usize]
-        } else {
-            let r = self.find(x);
-            cache[x as usize] = r;
-            r
-        }
-    }
-
-    /// Size of the underlying label slot space (registered or not).
-    pub fn slots(&self) -> usize {
-        match self {
-            BandUf::Seq(uf) => uf.len(),
-            BandUf::Par(p) => p.capacity(),
-        }
-    }
-}
-
-/// Post-scan state of one band: the label buffer with all in-band seams
-/// merged, the union-find view the merge stage resolves roots through,
-/// and (fused mode) the scan workers' partial accumulator tables.
-/// Produced by [`scan_band`], consumed by
+/// Post-scan state of one band: the band's label buffer (row-major) plus
+/// what the merge stage needs. Produced by [`scan_band`], consumed by
 /// [`StripLabeler::merge_scanned_band`]; the two called back-to-back are
 /// exactly [`StripLabeler::push_band`], while the pipelined executor
 /// ([`crate::pipeline`]) runs them on different threads, one band apart.
-pub(crate) struct ScannedBand {
-    /// Band height in rows (kept for degenerate rows too).
-    pub(crate) h: usize,
-    /// The band's labels, row-major. Carried-id slots `1..=carry_cap`
-    /// are reserved; band labels start at `carry_cap + 1`.
-    pub(crate) labels: Vec<u32>,
-    /// The band's equivalences (chunk seams already merged, carry seam
-    /// pending — it is the merge stage's job).
-    pub(crate) uf: BandUf,
-    /// Fused mode: partial accumulators indexed by provisional label,
-    /// covering every band pixel except the band's first row (whose
-    /// upper neighbours are the carry row the scan must not read).
-    pub(crate) partials: Option<Vec<Accum>>,
-    /// Provisional-label ranges the scan actually allocated — the merge
-    /// stage's fold sweeps these instead of the full slot space.
-    pub(crate) used: Vec<Range<u32>>,
-    /// True for bands with no pixels (zero height or zero width): the
-    /// merge stage only counts them.
-    pub(crate) degenerate: bool,
-}
+pub(crate) type ScannedBand = ScannedRows<Vec<u32>>;
 
 /// The scan stage: validates the band's width, scans it with chunk-local
 /// semantics (two-line + RemSP sequentially, PAREMSP worker groups in
-/// parallel mode), merges the chunk-boundary seams, and — in
-/// [`FoldMode::Fused`] — accumulates every scan worker's partial table
-/// while the pixels are hot.
+/// parallel mode), merges the chunk-boundary seams, and accumulates every
+/// scan worker's partial table while the pixels are hot.
 ///
 /// Everything here is independent of the carried boundary row except the
 /// size of the reserved low label slots: carried ids occupy
-/// `1..=carry_cap`, band labels start at `carry_cap + 1`. The synchronous
-/// path passes the exact open-component count; the pipelined executor
-/// passes the width bound `⌈w/2⌉`, so the scan can run before the
-/// previous band's compaction has decided the real count. `r0` is the
+/// `1..=carry_cap`, band labels start at `carry_cap + 1`. `r0` is the
 /// global row of the band's first row (partial accumulators hold global
 /// coordinates).
 pub(crate) fn scan_band(
@@ -273,51 +138,36 @@ pub(crate) fn scan_band(
     }
     let (w, h) = (width, band.height());
     if h == 0 || w == 0 {
-        return Ok(ScannedBand {
-            h,
-            labels: Vec::new(),
-            uf: BandUf::Seq(RemSP::new()),
-            partials: None,
-            used: Vec::new(),
-            degenerate: true,
-        });
+        return Ok(ScannedRows::empty(h));
     }
-    let fused = cfg.fold == FoldMode::Fused;
-    if cfg.threads <= 1 {
+    let (labels, uf, partials, used) = if cfg.threads <= 1 {
         let mut store = RemSP::with_capacity(1 + carry_cap as usize + max_labels_two_line(h, w));
         for id in 0..=carry_cap {
             store.new_label(id);
         }
         let mut labels = vec![0u32; h * w];
         let next = scan_two_line(band, 0..h, &mut labels, &mut store, carry_cap + 1);
-        let partials = fused.then(|| {
-            let mut parts = vec![Accum::EMPTY; next as usize];
-            accumulate_chunk(band, &labels, 0..h, r0, 0, &mut parts);
-            parts
-        });
-        Ok(ScannedBand {
-            h,
-            labels,
-            uf: BandUf::Seq(store),
-            partials,
-            used: std::iter::once(carry_cap + 1..next).collect(),
-            degenerate: false,
-        })
+        let mut parts = vec![Accum::EMPTY; next as usize];
+        accumulate_chunk(band, &labels, 0..h, r0, 0, &mut parts);
+        let used = std::iter::once(carry_cap + 1..next).collect();
+        (labels, BandUf::Seq(store), parts, used)
     } else {
-        let (labels, parents, partials, used) = scan_band_parallel(band, r0, carry_cap, cfg);
-        Ok(ScannedBand {
-            h,
-            labels,
-            uf: BandUf::Par(parents),
-            partials,
-            used,
-            degenerate: false,
-        })
-    }
+        let (labels, parents, parts, used) = scan_band_parallel(band, r0, carry_cap, cfg);
+        (labels, BandUf::Par(parents), parts, used)
+    };
+    Ok(ScannedRows {
+        h,
+        top: labels[..w].to_vec(),
+        last: labels[(h - 1) * w..].to_vec(),
+        labels,
+        uf,
+        partials,
+        used,
+    })
 }
 
-/// Accumulates one scan worker's fused partial table: every foreground
-/// pixel of band rows `rows` (the worker's chunk) folds its single-pixel
+/// Accumulates one scan worker's partial table: every foreground pixel
+/// of band rows `rows` (the worker's chunk) folds its single-pixel
 /// accumulator into `parts[label - base]`. Neighbour probes read the raw
 /// band pixels — rows above the chunk included — so the result never
 /// depends on another chunk's label buffer, which may not exist yet. The
@@ -369,19 +219,7 @@ pub(crate) fn accumulate_chunk(
 /// assert_eq!(sink[1].bbox, (3, 2, 3, 3));
 /// ```
 pub struct StripLabeler {
-    width: usize,
-    cfg: StripConfig,
-    rows_done: usize,
-    bands_done: usize,
-    /// Labels (active ids `1..=k`, 0 = background) of the last row of the
-    /// previous band; empty before the first band.
-    carry: Vec<u32>,
-    /// Accumulators of the open components, indexed by active id (slot 0
-    /// unused).
-    active: Vec<Accum>,
-    next_gid: u64,
-    finalized: u64,
-    peak_resident_rows: usize,
+    merge: CarryMerge,
 }
 
 impl StripLabeler {
@@ -393,48 +231,40 @@ impl StripLabeler {
     /// Labeler with explicit configuration.
     pub fn with_config(width: usize, cfg: StripConfig) -> Self {
         StripLabeler {
-            width,
-            cfg,
-            rows_done: 0,
-            bands_done: 0,
-            carry: Vec::new(),
-            active: vec![Accum::EMPTY],
-            next_gid: 1,
-            finalized: 0,
-            peak_resident_rows: 0,
+            merge: CarryMerge::new(width, cfg),
         }
     }
 
     /// Stream width in pixels.
     pub fn width(&self) -> usize {
-        self.width
+        self.merge.width()
     }
 
     /// Rows labeled so far.
     pub fn rows_pushed(&self) -> usize {
-        self.rows_done
+        self.merge.rows_done()
     }
 
     /// Bands pushed so far.
     pub fn bands_pushed(&self) -> usize {
-        self.bands_done
+        self.merge.bands_done()
     }
 
     /// Components currently open (touching the carry row).
     pub fn open_components(&self) -> usize {
-        self.active.len() - 1
+        self.merge.open_components()
     }
 
     /// Components emitted so far.
     pub fn finalized_components(&self) -> u64 {
-        self.finalized
+        self.merge.finalized_components()
     }
 
     /// Maximum pixel rows resident at any point so far (tallest band + 1
     /// carry row). This is the bounded-memory invariant: it never exceeds
     /// twice the band height, however tall the streamed image grows.
     pub fn peak_resident_rows(&self) -> usize {
-        self.peak_resident_rows
+        self.merge.peak_resident_rows()
     }
 
     /// Labels the next band of rows, emitting every component that closes.
@@ -459,20 +289,8 @@ impl StripLabeler {
 
     /// Closes the stream: every still-open component is finalized and
     /// emitted (ascending id), and the run's summary returned.
-    pub fn finish<C: ComponentSink + ?Sized>(mut self, components: &mut C) -> StreamStats {
-        let mut remaining: Vec<Accum> = self.active.drain(1..).collect();
-        remaining.sort_by_key(|a| a.gid);
-        for acc in remaining {
-            self.finalized += 1;
-            components.component(&acc.into_record());
-        }
-        StreamStats {
-            width: self.width,
-            rows: self.rows_done,
-            bands: self.bands_done,
-            components: self.finalized,
-            peak_resident_rows: self.peak_resident_rows,
-        }
+    pub fn finish<C: ComponentSink + ?Sized>(self, components: &mut C) -> StreamStats {
+        self.merge.finish(components)
     }
 
     fn process(
@@ -481,419 +299,56 @@ impl StripLabeler {
         components: &mut dyn ComponentSink,
         strips: Option<&mut dyn LabelSink>,
     ) -> Result<(), StreamError> {
-        let n_carry = (self.active.len() - 1) as u32;
-        let scanned = scan_band(band, self.width, &self.cfg, n_carry, self.rows_done)?;
-        self.merge_scanned_band(scanned, components, strips)
+        let m = &self.merge;
+        let carry_cap = m.open_components() as u32;
+        let scanned = scan_band(band, m.width(), m.config(), carry_cap, m.rows_done())?;
+        self.merge_scanned_band(scanned, components, strips);
+        Ok(())
     }
 
-    /// The merge stage: restores connectivity across the carried boundary
-    /// row, folds the accumulators (per label when the scan produced
-    /// partials, per pixel otherwise), emits closed components (and
-    /// labeled strips), and rebuilds the carry. Counterpart of
-    /// [`scan_band`].
+    /// The merge stage ([`CarryMerge::merge`]) plus the labeled strip.
+    /// Counterpart of [`scan_band`].
     pub(crate) fn merge_scanned_band(
         &mut self,
         band: ScannedBand,
         components: &mut dyn ComponentSink,
         strips: Option<&mut dyn LabelSink>,
-    ) -> Result<(), StreamError> {
-        let ScannedBand {
-            h,
-            labels,
-            mut uf,
-            partials,
-            used,
-            degenerate,
-        } = band;
-        if degenerate {
-            self.rows_done += h;
-            self.bands_done += usize::from(h > 0);
-            return Ok(());
-        }
-        let w = self.width;
-        self.peak_resident_rows = self
-            .peak_resident_rows
-            .max(h + usize::from(!self.carry.is_empty()));
-        let n_carry = (self.active.len() - 1) as u32;
-        let r0 = self.rows_done;
-        let nslots = uf.slots();
-
-        let mut root_of: Vec<u32> = vec![u32::MAX; nslots];
-        let mut touched: Vec<u32> = Vec::new();
-        let mut merges: Vec<(u64, u64)> = Vec::new();
-
-        // Fold phase: after this block `acc[root]` holds the complete
-        // accumulator of every component with a pixel in the band (fresh
-        // ones still gid 0), `touched` lists the occupied roots, and
-        // `merges` the carried-id pairs that turned out to be one
-        // component.
-        let mut acc = match partials {
-            Some(mut parts) => {
-                // Fused: partials are complete except the band's first
-                // row — absorb it here, where the carry row is known.
-                let first = &labels[..w];
-                for c in 0..w {
-                    let l = first[c];
-                    if l == 0 {
-                        continue;
-                    }
-                    let west = c > 0 && first[c - 1] != 0;
-                    let (nw, north, ne) = if !self.carry.is_empty() {
-                        (
-                            c > 0 && self.carry[c - 1] != 0,
-                            self.carry[c] != 0,
-                            c + 1 < w && self.carry[c + 1] != 0,
-                        )
-                    } else {
-                        (false, false, false)
-                    };
-                    parts[l as usize].absorb(r0, c, west, nw, north, ne);
-                }
-                let is_par = matches!(uf, BandUf::Par(_));
-                match &mut uf {
-                    BandUf::Seq(store) => {
-                        // Fold each used label's partial onto its in-band
-                        // root, then let the carry seam itself combine
-                        // partials as it unions (the core fold hook).
-                        use ccl_core::scan::Foldable as _;
-                        for range in &used {
-                            for l in range.clone() {
-                                if parts[l as usize].is_empty() {
-                                    continue;
-                                }
-                                let root = store.find(l);
-                                if root == l {
-                                    touched.push(l);
-                                } else {
-                                    let p = std::mem::replace(&mut parts[l as usize], Accum::EMPTY);
-                                    parts[root as usize].fold(&p);
-                                }
-                            }
-                        }
-                        for id in 1..=n_carry {
-                            parts[id as usize] = self.active[id as usize];
-                            touched.push(id);
-                        }
-                        if !self.carry.is_empty() {
-                            let mut folding = FoldingStore::new(store, &mut parts);
-                            merge_seam(&self.carry, &labels[..w], &mut folding);
-                        }
-                        // Carried ids that now share a root merged; replay
-                        // the pairwise events (identical to the
-                        // sequential fold's bookkeeping).
-                        let mut kept: Vec<u64> = vec![0; n_carry as usize + 1];
-                        for id in 1..=n_carry {
-                            let root = store.find(id) as usize;
-                            debug_assert!(root <= n_carry as usize, "carried roots are carried");
-                            let gid = self.active[id as usize].gid;
-                            if kept[root] == 0 {
-                                kept[root] = gid;
-                            } else {
-                                let (k, a) = if kept[root] <= gid {
-                                    (kept[root], gid)
-                                } else {
-                                    (gid, kept[root])
-                                };
-                                merges.push((k, a));
-                                kept[root] = k;
-                            }
-                        }
-                    }
-                    BandUf::Par(parents) => {
-                        // Concurrent mergers cannot fold safely mid-union:
-                        // run the carry seam first (column spans across
-                        // the workers); the fold below happens after, per
-                        // label — O(labels), not O(pixels).
-                        if !self.carry.is_empty() {
-                            carry_seam_parallel(&self.carry, &labels[..w], parents, &self.cfg);
-                        }
-                    }
-                }
-                if is_par {
-                    use ccl_core::scan::Foldable as _;
-                    fold_carried(
-                        &mut uf,
-                        &self.active,
-                        n_carry,
-                        &mut parts,
-                        &mut touched,
-                        &mut merges,
-                    );
-                    for range in &used {
-                        for l in range.clone() {
-                            if parts[l as usize].is_empty() {
-                                continue;
-                            }
-                            let root = uf.find(l);
-                            root_of[l as usize] = root;
-                            if root == l {
-                                touched.push(l);
-                            } else {
-                                let p = std::mem::replace(&mut parts[l as usize], Accum::EMPTY);
-                                parts[root as usize].fold(&p);
-                            }
-                        }
-                    }
-                }
-                parts
-            }
-            None => {
-                // Sequential fold: seam first, then one pass over the
-                // band's pixels accumulating per root (the pre-fused
-                // baseline).
-                if !self.carry.is_empty() {
-                    match &mut uf {
-                        BandUf::Seq(store) => merge_seam(&self.carry, &labels[..w], store),
-                        BandUf::Par(parents) => {
-                            carry_seam_parallel(&self.carry, &labels[..w], parents, &self.cfg)
-                        }
-                    }
-                }
-                let mut acc = vec![Accum::EMPTY; nslots];
-                fold_carried(
-                    &mut uf,
-                    &self.active,
-                    n_carry,
-                    &mut acc,
-                    &mut touched,
-                    &mut merges,
-                );
-
-                // Accumulate the band's pixels per root, assigning fresh
-                // ids to new components in raster order of their first
-                // pixel.
-                for (i, &l) in labels.iter().enumerate() {
-                    if l == 0 {
-                        continue;
-                    }
-                    let root = uf.find_cached(&mut root_of, l);
-                    let slot = &mut acc[root as usize];
-                    let (r, c) = (r0 + i / w, i % w);
-                    // Already-scanned neighbours (west + the three above)
-                    // for the perimeter/Euler folds; a first-row pixel's
-                    // upper neighbours are the carry row.
-                    let west = c > 0 && labels[i - 1] != 0;
-                    let (nw, north, ne) = if i >= w {
-                        (
-                            c > 0 && labels[i - w - 1] != 0,
-                            labels[i - w] != 0,
-                            c + 1 < w && labels[i - w + 1] != 0,
-                        )
-                    } else if !self.carry.is_empty() {
-                        (
-                            c > 0 && self.carry[c - 1] != 0,
-                            self.carry[c] != 0,
-                            c + 1 < w && self.carry[c + 1] != 0,
-                        )
-                    } else {
-                        (false, false, false)
-                    };
-                    if slot.area == 0 {
-                        // A live 4-neighbour would share this pixel's root
-                        // and have been accumulated already (raster
-                        // order), so a fresh component's first pixel never
-                        // has one.
-                        debug_assert!(!west && !north, "first pixel with live 4-neighbour");
-                        *slot = Accum::first(r, c);
-                        touched.push(root);
-                    } else {
-                        slot.add(r, c, west, nw, north, ne);
-                    }
-                }
-                acc
-            }
-        };
-
-        // Assign fresh ids in raster order of each new component's first
-        // pixel — its anchor, unique per component, so the sort
-        // reproduces the sequential pass's id sequence exactly.
-        let mut fresh: Vec<((usize, usize), u32)> = touched
-            .iter()
-            .filter(|&&root| {
-                let a = &acc[root as usize];
-                a.area > 0 && a.gid == 0
-            })
-            .map(|&root| (acc[root as usize].anchor, root))
-            .collect();
-        fresh.sort_unstable();
-        for &(_, root) in &fresh {
-            acc[root as usize].gid = self.next_gid;
-            self.next_gid += 1;
-        }
-
-        // Components with a pixel on the band's last row stay open:
-        // compact them to active ids 1..=k and rebuild the carry row.
-        // Everything else has closed — no later row can reach it. Active
-        // ids are assigned in order of first occurrence on the row, so the
-        // parallel path below must reproduce that order exactly.
-        let last = &labels[(h - 1) * w..];
-        let mut new_active: Vec<Accum> = vec![Accum::EMPTY];
-        let mut new_carry = vec![0u32; w];
-        let mut survivor_id: Vec<u32> = vec![0; nslots];
-        if self.cfg.threads > 1 && w > 1 {
-            // Parallel compaction over column segments: each segment
-            // lists its first-seen roots in order (parallel), survivor
-            // ids are assigned walking the segments left to right
-            // (sequential, O(open components)), then the carry row is
-            // filled back in parallel. Identical output to the
-            // sequential path: a root's global first occurrence decides
-            // its rank in both. `root_of` is fully populated here — the
-            // parallel scan's fold sweep (or pixel pass) cached every
-            // used label.
-            let spans = split_spans(w, self.cfg.threads);
-            let mut firsts: Vec<Vec<u32>> = vec![Vec::new(); spans.len()];
-            rayon::scope(|s| {
-                for (out, span) in firsts.iter_mut().zip(&spans) {
-                    let root_of = &root_of;
-                    s.spawn(move |_| {
-                        let mut seen = std::collections::HashSet::new();
-                        for &l in &last[span.clone()] {
-                            if l == 0 {
-                                continue;
-                            }
-                            let root = root_of[l as usize];
-                            if seen.insert(root) {
-                                out.push(root);
-                            }
-                        }
-                    });
-                }
-            });
-            for root in firsts.into_iter().flatten() {
-                if survivor_id[root as usize] == 0 {
-                    new_active.push(acc[root as usize]);
-                    survivor_id[root as usize] = (new_active.len() - 1) as u32;
-                }
-            }
-            rayon::scope(|s| {
-                let mut rest: &mut [u32] = &mut new_carry;
-                for span in &spans {
-                    let (mine, tail) = rest.split_at_mut(span.len());
-                    rest = tail;
-                    let survivor_id = &survivor_id;
-                    let root_of = &root_of;
-                    s.spawn(move |_| {
-                        for (&l, slot) in last[span.clone()].iter().zip(mine) {
-                            if l != 0 {
-                                *slot = survivor_id[root_of[l as usize] as usize];
-                            }
-                        }
-                    });
-                }
-            });
-        } else {
-            for (c, &l) in last.iter().enumerate() {
-                if l == 0 {
-                    continue;
-                }
-                // The fused sequential path resolves lazily: its carry
-                // seam changed roots after the fold sweep, so the cache
-                // fills here, post-seam.
-                let root = uf.find_cached(&mut root_of, l) as usize;
-                if survivor_id[root] == 0 {
-                    new_active.push(acc[root]);
-                    survivor_id[root] = (new_active.len() - 1) as u32;
-                }
-                new_carry[c] = survivor_id[root];
-            }
-        }
-
-        let mut closed: Vec<Accum> = touched
-            .iter()
-            .filter(|&&root| survivor_id[root as usize] == 0 && acc[root as usize].area > 0)
-            .map(|&root| acc[root as usize])
-            .collect();
-        closed.sort_by_key(|a| a.gid);
-        for acc in closed {
-            self.finalized += 1;
-            components.component(&acc.into_record());
-        }
-
-        if let Some(sink) = strips {
-            merges.sort_unstable();
-            for (kept, absorbed) in merges {
+    ) {
+        let merged = self.merge.merge(band, components, strips.is_some());
+        if let (Some(sink), Some(out)) = (strips, merged) {
+            for &(kept, absorbed) in &out.merges {
                 sink.merge(kept, absorbed);
             }
-            let mut strip_gids = vec![0u64; h * w];
-            if self.cfg.threads > 1 && !strip_gids.is_empty() {
-                // root_of is fully populated in parallel mode: fill the
-                // strip concurrently over element spans.
-                let spans = split_spans(h * w, self.cfg.threads);
-                rayon::scope(|s| {
-                    let mut rest: &mut [u64] = &mut strip_gids;
-                    for span in &spans {
-                        let (mine, tail) = rest.split_at_mut(span.len());
-                        rest = tail;
-                        let labels = &labels;
-                        let root_of = &root_of;
-                        let acc = &acc;
-                        s.spawn(move |_| {
-                            for (j, g) in span.clone().zip(mine) {
-                                let l = labels[j];
-                                if l != 0 {
-                                    *g = acc[root_of[l as usize] as usize].gid;
-                                }
-                            }
-                        });
-                    }
-                });
-            } else {
-                for (j, g) in strip_gids.iter_mut().enumerate() {
-                    let l = labels[j];
-                    if l == 0 {
-                        continue;
-                    }
-                    let root = uf.find_cached(&mut root_of, l);
-                    *g = acc[root as usize].gid;
-                }
-            }
-            sink.strip(r0, w, &strip_gids);
+            let gids = strip_gids(&out, self.merge.config().threads);
+            sink.strip(out.first_row, self.merge.width(), &gids);
         }
-
-        self.active = new_active;
-        self.carry = new_carry;
-        self.rows_done += h;
-        self.bands_done += 1;
-        Ok(())
     }
 }
 
-/// Folds the carried accumulators onto their (possibly merged) roots,
-/// recording first-occupancy roots in `touched` and carried-id merge
-/// pairs in `merges`. Any set containing a carried id is rooted at a
-/// carried id (Rem roots are set minima and carried ids occupy the low
-/// slots). Shared by the fused-parallel and sequential fold paths — the
-/// fused-sequential path folds carried ids through the seam hook instead.
-///
-/// Public for the same reason as [`Accum`] and [`BandUf`]: it is the
-/// carried-fold building block every labeler with the strip structure
-/// shares (the `ccl-tiles` grid labeler uses it verbatim).
-pub fn fold_carried(
-    uf: &mut BandUf,
-    active: &[Accum],
-    n_carry: u32,
-    acc: &mut [Accum],
-    touched: &mut Vec<u32>,
-    merges: &mut Vec<(u64, u64)>,
-) {
-    for id in 1..=n_carry {
-        let root = uf.find(id);
-        let src = active[id as usize];
-        let dst = &mut acc[root as usize];
-        if dst.area == 0 {
-            *dst = src;
-            touched.push(root);
-        } else {
-            let (kept, absorbed) = if dst.gid <= src.gid {
-                (dst.gid, src.gid)
-            } else {
-                (src.gid, dst.gid)
-            };
-            dst.merge_with(&src);
-            dst.gid = kept;
-            merges.push((kept, absorbed));
+/// A merged band's labels as stream ids, filled over element spans
+/// across `threads` workers.
+fn strip_gids(out: &MergedRows<Vec<u32>>, threads: usize) -> Vec<u64> {
+    let mut gids = vec![0u64; out.labels.len()];
+    let fill = |span: Range<usize>, dst: &mut [u64]| {
+        for (g, &l) in dst.iter_mut().zip(&out.labels[span]) {
+            if l != 0 {
+                *g = out.gid(l);
+            }
         }
+    };
+    if threads <= 1 {
+        fill(0..gids.len(), &mut gids);
+        return gids;
     }
+    rayon::scope(|s| {
+        let mut rest: &mut [u64] = &mut gids;
+        for span in split_spans(out.labels.len(), threads) {
+            let (mine, tail) = rest.split_at_mut(span.len());
+            rest = tail;
+            s.spawn(move |_| fill(span, mine));
+        }
+    });
+    gids
 }
 
 #[cfg(test)]
@@ -1064,42 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_fold_is_bit_identical_to_sequential_fold() {
-        let mut state = 2024u64;
-        let mut rnd = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 40) & 1 == 1
-        };
-        let img = BinaryImage::from_fn(33, 41, |_, _| rnd());
-        for band_h in [1, 3, 7, 41] {
-            for threads in [1, 2, 4] {
-                let seq_cfg = StripConfig::parallel(threads).with_fold(FoldMode::Sequential);
-                let fused_cfg = StripConfig::parallel(threads).with_fold(FoldMode::Fused);
-                let (seq, seq_stats) = run_banded(&img, band_h, seq_cfg);
-                let (fused, fused_stats) = run_banded(&img, band_h, fused_cfg);
-                assert_eq!(fused, seq, "band {band_h}, {threads} threads");
-                assert_eq!(fused_stats, seq_stats);
-            }
-        }
-    }
-
-    #[test]
-    fn fold_mode_parses_and_displays() {
-        assert_eq!("seq".parse::<FoldMode>().unwrap(), FoldMode::Sequential);
-        assert_eq!(
-            "sequential".parse::<FoldMode>().unwrap(),
-            FoldMode::Sequential
-        );
-        assert_eq!("fused".parse::<FoldMode>().unwrap(), FoldMode::Fused);
-        assert!("banana".parse::<FoldMode>().is_err());
-        assert_eq!(FoldMode::Sequential.to_string(), "seq");
-        assert_eq!(FoldMode::Fused.to_string(), "fused");
-        assert_eq!(FoldMode::default(), FoldMode::Fused);
-    }
-
-    #[test]
     fn strips_reconcile_into_the_exact_partition() {
         let img = BinaryImage::parse(
             "#.#.#
@@ -1108,25 +527,23 @@ mod tests {
              .....
              ##.##",
         );
-        for fold in [FoldMode::Sequential, FoldMode::Fused] {
-            let mut comps = CountComponents::default();
-            let mut strips = CollectLabelImage::default();
-            let mut labeler = StripLabeler::with_config(5, StripConfig::default().with_fold(fold));
-            for r in 0..img.height() {
-                labeler
-                    .push_band_with_labels(&img.crop(r, 0, 5, 1), &mut comps, &mut strips)
-                    .unwrap();
-            }
-            let stats = labeler.finish(&mut comps);
-            let li = strips.into_label_image();
-            assert_eq!(li.num_components() as u64, stats.components);
-            let reference = ccl_core::seq::aremsp(&img);
-            assert!(ccl_core::verify::labelings_equivalent(&li, &reference));
+        let mut comps = CountComponents::default();
+        let mut strips = CollectLabelImage::default();
+        let mut labeler = StripLabeler::new(5);
+        for r in 0..img.height() {
+            labeler
+                .push_band_with_labels(&img.crop(r, 0, 5, 1), &mut comps, &mut strips)
+                .unwrap();
         }
+        let stats = labeler.finish(&mut comps);
+        let li = strips.into_label_image();
+        assert_eq!(li.num_components() as u64, stats.components);
+        let reference = ccl_core::seq::aremsp(&img);
+        assert!(ccl_core::verify::labelings_equivalent(&li, &reference));
     }
 
     #[test]
-    fn strip_output_identical_across_fold_modes() {
+    fn strip_output_identical_across_thread_counts() {
         let mut state = 5u64;
         let mut rnd = move || {
             state = state
@@ -1150,30 +567,32 @@ mod tests {
             }
         }
 
+        let mut tapes = Vec::new();
         for threads in [1, 3] {
-            let mut tapes = Vec::new();
-            for fold in [FoldMode::Sequential, FoldMode::Fused] {
-                let cfg = StripConfig::parallel(threads).with_fold(fold);
-                let mut comps = CountComponents::default();
-                let mut tape = Tape::default();
-                let mut labeler = StripLabeler::with_config(img.width(), cfg);
-                let mut r = 0;
-                while r < img.height() {
-                    let rows = 4.min(img.height() - r);
-                    labeler
-                        .push_band_with_labels(
-                            &img.crop(r, 0, img.width(), rows),
-                            &mut comps,
-                            &mut tape,
-                        )
-                        .unwrap();
-                    r += rows;
-                }
-                labeler.finish(&mut comps);
-                tapes.push(tape);
+            let mut comps = CountComponents::default();
+            let mut tape = Tape::default();
+            let mut labeler =
+                StripLabeler::with_config(img.width(), StripConfig::parallel(threads));
+            let mut r = 0;
+            while r < img.height() {
+                let rows = 4.min(img.height() - r);
+                labeler
+                    .push_band_with_labels(
+                        &img.crop(r, 0, img.width(), rows),
+                        &mut comps,
+                        &mut tape,
+                    )
+                    .unwrap();
+                r += rows;
             }
-            assert_eq!(tapes[0], tapes[1], "{threads} threads");
+            labeler.finish(&mut comps);
+            tapes.push(tape);
         }
+        assert!(
+            !tapes[0].events.is_empty(),
+            "the image exercises carried merges"
+        );
+        assert_eq!(tapes[0], tapes[1]);
     }
 
     #[test]

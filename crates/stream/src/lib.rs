@@ -22,6 +22,9 @@
 //!   (sequential) or full PAREMSP across threads within the resident
 //!   band ([`StripConfig::parallel`]), one carried boundary row per
 //!   seam, and label-slot recycling so closed components cost nothing;
+//! * [`merge`] — the carry-merge stage every band (and every `ccl-tiles`
+//!   tile row) goes through after its scan, and [`pipeline`] — the one
+//!   scan ∥ merge executor both engines' `*_pipelined` drivers run on;
 //! * [`ComponentRecord`] / [`ComponentSink`] — per-component area,
 //!   bounding box, centroid, raster anchor, 4-neighbourhood perimeter
 //!   and Euler-characteristic hole count, emitted the moment a
@@ -53,6 +56,7 @@ pub mod driver;
 pub mod error;
 pub mod generators;
 pub mod labeler;
+pub mod merge;
 pub mod netpbm;
 mod parallel;
 pub mod pipeline;
@@ -67,6 +71,6 @@ pub use driver::{
     stream_to_label_image, stream_to_label_image_pipelined,
 };
 pub use error::StreamError;
-pub use labeler::{BandUf, FoldMode, StreamStats, StripConfig, StripLabeler};
+pub use labeler::{StreamStats, StripConfig, StripLabeler};
 pub use netpbm::{PbmSource, PgmSource};
 pub use source::{MemorySource, OwnedMemorySource, RowSource};

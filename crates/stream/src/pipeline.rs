@@ -1,20 +1,18 @@
-//! Pipelined band execution — overlap band *k*'s merge with band
-//! *k + 1*'s scan (the strip-labeler counterpart of `ccl-tiles`'
-//! pipelined executor).
+//! Pipelined execution — overlap band *k*'s merge with band *k + 1*'s
+//! scan. One generic executor ([`run_scan_merge`]) serves the strip
+//! labeler here and the `ccl-tiles` grid labeler.
 //!
-//! The strip labeler's work per band splits into two stages with one
-//! dependency between consecutive bands:
+//! The out-of-core engines' work per band (or tile row) splits into two
+//! stages with one dependency between consecutive bands:
 //!
-//! * **scan stage** — pull the next band from the source, scan it
-//!   (two-line + RemSP or PAREMSP worker groups), merge the
-//!   chunk-boundary seams and build the fused partial accumulator
-//!   tables ([`scan_band`](crate::labeler)): independent of everything
-//!   before it, because carried ids are reserved by the width bound
-//!   `⌈w/2⌉` rather than the actual open-component count;
-//! * **merge stage** — the carry seam, the per-label accumulator fold,
-//!   compaction and component emission
-//!   ([`StripLabeler::merge_scanned_band`](crate::StripLabeler)):
-//!   inherently sequential, because each band's carry feeds the next.
+//! * **scan stage** — pull the next band from the source, scan it, merge
+//!   the in-band seams and build the partial accumulator tables:
+//!   independent of everything before it, because carried ids are
+//!   reserved by the width bound [`carry_bound`] rather than the actual
+//!   open-component count;
+//! * **merge stage** — the carry-merge stage ([`crate::merge`]) plus the
+//!   caller's label output: inherently sequential, because each band's
+//!   carry feeds the next.
 //!
 //! The executor runs the scan stage on a worker thread and the merge
 //! stage on the caller's, handing scanned bands across a **rendezvous
@@ -22,24 +20,84 @@
 //! ahead, so at any instant at most *two* bands are alive — band *k*
 //! (labels, under merge) and band *k + 1* (pixels + labels, under scan)
 //! — plus the carried boundary row. That is the pipelined residency
-//! bound `2 × band_rows + 1` pixel rows, reported through
-//! [`StreamStats::peak_resident_rows`](crate::StreamStats).
+//! bound `2 × band_rows + 1` pixel rows, which the executor returns.
 //!
 //! Errors never hang the pipeline: a failing source or scan surfaces
 //! through the channel disconnect + join, a failing merge drops the
 //! receiver so the scanner's blocked send aborts, and a panicking source
-//! is converted into [`StreamError::Worker`].
+//! is converted into the caller's worker error (e.g.
+//! [`StreamError::Worker`]).
 
+use std::any::Any;
 use std::sync::mpsc;
 
 use crate::analysis::{ComponentSink, LabelSink};
 use crate::error::StreamError;
 use crate::labeler::{scan_band, StreamStats, StripConfig, StripLabeler};
+use crate::merge::{carry_bound, ScannedRows};
 use crate::source::RowSource;
 
-/// Streams `source` through a strip labeler with the two-stage pipeline
-/// described in the module docs. Output (components, merges, strips) is
-/// bit-identical to the synchronous drivers; only
+/// Runs `scan` on a worker thread and `merge` on the caller's, one band
+/// apart (see the module docs). `scan` returns `Ok(None)` at the end of
+/// the stream; `on_panic` turns a panicking scan's payload into an error.
+/// Returns the pipeline's peak residency in pixel rows: the tallest pair
+/// of consecutive bands with pixels, plus the carry row once two exist.
+pub fn run_scan_merge<L, E, S, M>(
+    mut scan: S,
+    mut merge: M,
+    on_panic: fn(&(dyn Any + Send)) -> E,
+) -> Result<usize, E>
+where
+    L: Send,
+    E: Send,
+    S: FnMut() -> Result<Option<ScannedRows<L>>, E> + Send,
+    M: FnMut(ScannedRows<L>) -> Result<(), E>,
+{
+    // Residency: while the merge stage holds band k, the scan stage holds
+    // at most band k + 1 (the send blocks until the merge stage takes the
+    // band). Bands without pixels hold nothing and are not counted.
+    let mut prev_h = 0usize;
+    let mut max_pair = 0usize;
+    let mut bands = 0usize;
+
+    let (tx, rx) = mpsc::sync_channel(0);
+    std::thread::scope(|s| {
+        let scanner = s.spawn(move || -> Result<(), E> {
+            while let Some(rows) = scan()? {
+                if tx.send(rows).is_err() {
+                    break; // merge stage stopped early (error): unblock and exit
+                }
+            }
+            Ok(())
+        });
+
+        let mut merged: Result<(), E> = Ok(());
+        while let Ok(rows) = rx.recv() {
+            if !rows.is_degenerate() {
+                bands += 1;
+                max_pair = max_pair.max(prev_h + rows.h);
+                prev_h = rows.h;
+            }
+            if let Err(e) = merge(rows) {
+                merged = Err(e);
+                break;
+            }
+        }
+        // A merge error leaves bands queued: drop the receiver so the
+        // scanner's blocked send fails and the thread exits.
+        drop(rx);
+        let scanned = match scanner.join() {
+            Ok(r) => r,
+            Err(payload) => Err(on_panic(payload.as_ref())),
+        };
+        merged.and(scanned)
+    })?;
+    Ok(max_pair + usize::from(bands >= 2))
+}
+
+/// Streams `source` through a strip labeler with [`run_scan_merge`].
+/// Output (components, merges, strips) is bit-identical to the
+/// synchronous drivers; only
 /// [`StreamStats::peak_resident_rows`](crate::StreamStats) differs,
 /// reporting the pipeline's two-band + carry residency.
 pub(crate) fn run_pipelined<S>(
@@ -53,63 +111,27 @@ where
     S: RowSource + Send + ?Sized,
 {
     let width = source.width();
-    // No carry row can hold more open components than ⌈w/2⌉ (adjacent
-    // foreground pixels share one), so reserving that many low slots
-    // makes every scan independent of the previous band's compaction.
-    let carry_cap = width.div_ceil(2) as u32;
+    let carry_cap = carry_bound(width);
     let mut labeler = StripLabeler::with_config(width, cfg.clone());
-
-    // Residency: while the merge stage holds band k, the scan stage holds
-    // at most band k + 1 (rendezvous channel — the send blocks until the
-    // merge stage takes the band). Deterministic accounting: the max over
-    // consecutive band-height pairs, plus the carry row once two or more
-    // bands exist.
-    let mut prev_h = 0usize;
-    let mut max_pair = 0usize;
-    let mut nbands = 0usize;
-
-    let (tx, rx) = mpsc::sync_channel(0);
-    let scan_cfg = cfg;
-    let merge_result = std::thread::scope(|s| {
-        let scanner = s.spawn(move || -> Result<(), StreamError> {
-            let mut r0 = 0usize;
-            while let Some(band) = source.next_band(band_rows)? {
-                let scanned = scan_band(&band, width, &scan_cfg, carry_cap, r0)?;
-                r0 += band.height();
-                drop(band); // pixels are dead once scanned
-                if tx.send(scanned).is_err() {
-                    break; // merge stage stopped early (error): unblock and exit
-                }
-            }
+    let mut r0 = 0usize;
+    let peak = run_scan_merge(
+        || {
+            let Some(band) = source.next_band(band_rows)? else {
+                return Ok(None);
+            };
+            let scanned = scan_band(&band, width, &cfg, carry_cap, r0)?;
+            r0 += band.height();
+            Ok(Some(scanned))
+        },
+        |band| {
+            let sink = labels_sink.as_mut().map(|s| &mut **s as &mut dyn LabelSink);
+            labeler.merge_scanned_band(band, components, sink);
             Ok(())
-        });
-
-        let mut merged: Result<(), StreamError> = Ok(());
-        while let Ok(band) = rx.recv() {
-            if !band.degenerate {
-                nbands += 1;
-                max_pair = max_pair.max(prev_h + band.h);
-                prev_h = band.h;
-            }
-            let sink_ref = labels_sink.as_mut().map(|s| &mut **s as &mut dyn LabelSink);
-            if let Err(e) = labeler.merge_scanned_band(band, components, sink_ref) {
-                merged = Err(e);
-                break;
-            }
-        }
-        // A merge error leaves bands queued: drop the receiver so the
-        // scanner's blocked send fails and the thread exits.
-        drop(rx);
-        let scanned = match scanner.join() {
-            Ok(r) => r,
-            Err(payload) => Err(StreamError::worker_panic(payload.as_ref())),
-        };
-        merged.and(scanned)
-    });
-    merge_result?;
-
+        },
+        StreamError::worker_panic,
+    )?;
     let mut stats = labeler.finish(components);
-    stats.peak_resident_rows = max_pair + usize::from(nbands >= 2);
+    stats.peak_resident_rows = peak;
     Ok(stats)
 }
 
@@ -117,7 +139,6 @@ where
 mod tests {
     use super::*;
     use crate::analysis::{CollectLabelImage, ComponentRecord, CountComponents};
-    use crate::labeler::FoldMode;
     use crate::source::{MemorySource, OwnedMemorySource};
     use ccl_image::BinaryImage;
 
@@ -134,18 +155,15 @@ mod tests {
         )
         .unwrap();
 
-        for fold in [FoldMode::Sequential, FoldMode::Fused] {
-            let mut records: Vec<ComponentRecord> = Vec::new();
-            let mut src = OwnedMemorySource::new(img.clone());
-            let cfg = StripConfig::default().with_fold(fold);
-            let stats = run_pipelined(&mut src, 4, cfg, &mut records, None).unwrap();
-            assert_eq!(records, sync_records, "{fold}");
-            assert_eq!(stats.components, sync_stats.components);
-            assert_eq!(stats.rows, sync_stats.rows);
-            assert_eq!(stats.bands, sync_stats.bands);
-            // two 4-row bands + the carry row
-            assert_eq!(stats.peak_resident_rows, 2 * 4 + 1);
-        }
+        let mut records: Vec<ComponentRecord> = Vec::new();
+        let mut src = OwnedMemorySource::new(img.clone());
+        let stats = run_pipelined(&mut src, 4, StripConfig::default(), &mut records, None).unwrap();
+        assert_eq!(records, sync_records);
+        assert_eq!(stats.components, sync_stats.components);
+        assert_eq!(stats.rows, sync_stats.rows);
+        assert_eq!(stats.bands, sync_stats.bands);
+        // two 4-row bands + the carry row
+        assert_eq!(stats.peak_resident_rows, 2 * 4 + 1);
     }
 
     #[test]

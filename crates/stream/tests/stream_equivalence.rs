@@ -19,8 +19,8 @@ use ccl_datasets::synth::stream::bernoulli_stream;
 use ccl_datasets::synth::texture::{checkerboard, grating, rings, stripes};
 use ccl_image::BinaryImage;
 use ccl_stream::{
-    analyze_stream, analyze_stream_pipelined, stream_to_label_image, ComponentRecord, FoldMode,
-    MemorySource, OwnedMemorySource, RowSource, StripConfig, StripLabeler,
+    analyze_stream, analyze_stream_pipelined, stream_to_label_image, ComponentRecord, MemorySource,
+    OwnedMemorySource, RowSource, StripConfig, StripLabeler,
 };
 
 /// One image per synthetic generator family, sized `w × h` (the spiral is
@@ -59,13 +59,14 @@ const NUM_GENERATORS: usize = 15;
 
 /// Per-component features keyed by the raster-first anchor (unique per
 /// component), comparable across labelers: anchor, area, bbox, centroid,
-/// hole count. Centroid sums are integer accumulations in f64 (exact
-/// below 2^53), so equality is exact.
+/// perimeter, hole count. Centroid sums are integer accumulations in f64
+/// (exact below 2^53), so equality is exact.
 type Features = Vec<(
     (usize, usize),
     u64,
     (usize, usize, usize, usize),
     (f64, f64),
+    u64,
     u64,
 )>;
 
@@ -80,6 +81,17 @@ fn whole_image_features(img: &BinaryImage) -> Features {
     // independent hole oracle: one-pass V − E + F census per component
     let holes = ccl_core::analysis::count_holes_per_label(&labels);
     let w = img.width();
+    // brute-force perimeter: pixel edges shared with background or border
+    let mut perimeter = vec![0u64; anchors.len()];
+    for (i, &l) in labels.as_slice().iter().enumerate() {
+        if l != 0 {
+            let (r, c) = ((i / w) as isize, (i % w) as isize);
+            perimeter[l as usize] += [(-1, 0), (1, 0), (0, -1), (0, 1)]
+                .iter()
+                .filter(|&&(dr, dc)| img.get_or_bg(r + dr, c + dc) == 0)
+                .count() as u64;
+        }
+    }
     let mut out: Features = region_properties(&labels)
         .into_iter()
         .map(|region| {
@@ -89,6 +101,7 @@ fn whole_image_features(img: &BinaryImage) -> Features {
                 region.area as u64,
                 region.bbox,
                 region.centroid,
+                perimeter[region.label as usize],
                 holes[region.label as usize - 1],
             )
         })
@@ -100,38 +113,77 @@ fn whole_image_features(img: &BinaryImage) -> Features {
 fn stream_features(records: &[ComponentRecord]) -> Features {
     let mut out: Features = records
         .iter()
-        .map(|r| (r.anchor, r.area, r.bbox, r.centroid, r.holes))
+        .map(|r| (r.anchor, r.area, r.bbox, r.centroid, r.perimeter, r.holes))
         .collect();
     out.sort_unstable_by_key(|f| f.0);
     out
 }
 
-fn banded_features(img: &BinaryImage, band: usize, cfg: StripConfig) -> Features {
-    let mut src = MemorySource::new(img);
-    let (records, stats) = analyze_stream(&mut src, band, cfg).unwrap();
+/// The record-stream invariants a whole-image oracle cannot see: (a) ids
+/// strictly increase with the raster order of anchors; (b) records are
+/// emitted sorted by (closing band, id) — a component closes in the band
+/// holding the row after its last one, `(max_row + 1) / band`, and one
+/// reaching the last image row closes at `finish`.
+fn assert_emission_order(records: &[ComponentRecord], band: usize, height: usize) {
+    let mut by_anchor: Vec<_> = records.iter().map(|r| (r.anchor, r.id)).collect();
+    by_anchor.sort_unstable();
+    assert!(
+        by_anchor.windows(2).all(|p| p[0].1 < p[1].1),
+        "ids follow the raster order of anchors"
+    );
+    let key = |r: &ComponentRecord| {
+        let closing = if r.bbox.2 + 1 == height {
+            usize::MAX
+        } else {
+            (r.bbox.2 + 1) / band
+        };
+        (closing, r.id)
+    };
+    assert!(
+        records.windows(2).all(|p| key(&p[0]) < key(&p[1])),
+        "records emitted by (closing band, id)"
+    );
+}
+
+fn banded_features(img: &BinaryImage, band: usize, cfg: StripConfig, pipelined: bool) -> Features {
+    let (records, stats) = if pipelined {
+        let mut src = OwnedMemorySource::new(img.clone());
+        analyze_stream_pipelined(&mut src, band, cfg).unwrap()
+    } else {
+        let mut src = MemorySource::new(img);
+        analyze_stream(&mut src, band, cfg).unwrap()
+    };
     assert_eq!(stats.components as usize, records.len());
-    assert!(stats.peak_resident_rows <= 2 * band.max(1));
+    assert!(stats.peak_resident_rows <= 2 * band.max(1) + usize::from(pipelined));
+    assert_emission_order(&records, band, img.height());
     stream_features(&records)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Satellite: `StripLabeler` analysis (count/areas/bboxes/centroids)
-    /// equals `aremsp` + `ccl_core::analysis` on the same image, across
-    /// band heights 1..=H and all synthetic generators.
+    /// `StripLabeler` analysis (count, area, bbox, centroid, perimeter,
+    /// holes) equals `aremsp` + `ccl_core::analysis` + a brute-force
+    /// perimeter on the same image, with ids and emission order as the
+    /// band structure dictates — across band heights 1..=H, thread counts,
+    /// the synchronous and pipelined drivers and all synthetic generators.
     #[test]
     fn strip_analysis_matches_whole_image_analysis(
         gen in 0usize..NUM_GENERATORS,
         w in 1usize..=20,
         h in 1usize..=20,
         band in 1usize..=21,
+        threads in 1usize..=6,
+        pipelined in proptest::bool::ANY,
         seed in 0u64..1000,
     ) {
         let img = generator_image(gen, w, h, seed);
         let expected = whole_image_features(&img);
-        let got = banded_features(&img, band, StripConfig::default());
-        prop_assert_eq!(got, expected, "generator {} band {}", gen, band);
+        let got = banded_features(&img, band, StripConfig::parallel(threads), pipelined);
+        prop_assert_eq!(
+            got, expected,
+            "generator {} band {} threads {} pipelined {}", gen, band, threads, pipelined
+        );
     }
 
     /// The in-band PAREMSP mode is output-identical to the sequential
@@ -150,44 +202,9 @@ proptest! {
         let img = generator_image(gen, w, h, seed);
         let cfg = StripConfig::parallel(threads)
             .with_merger(if cas { MergerKind::Cas } else { MergerKind::Locked });
-        let seq = banded_features(&img, band, StripConfig::sequential());
-        let par = banded_features(&img, band, cfg);
+        let seq = banded_features(&img, band, StripConfig::sequential(), false);
+        let par = banded_features(&img, band, cfg, false);
         prop_assert_eq!(par, seq, "generator {} threads {}", gen, threads);
-    }
-
-    /// Tentpole acceptance: the fused fold (per-chunk partial
-    /// accumulators merged at the seam) is bit-identical to the
-    /// sequential per-pixel fold — records *and* stats — across
-    /// generators, band heights and thread counts, synchronous and
-    /// pipelined.
-    #[test]
-    fn fused_fold_bit_identical_to_sequential_fold(
-        gen in 0usize..NUM_GENERATORS,
-        w in 1usize..=18,
-        h in 1usize..=18,
-        band in 1usize..=19,
-        threads in 1usize..=6,
-        pipelined in proptest::bool::ANY,
-        seed in 0u64..1000,
-    ) {
-        let img = generator_image(gen, w, h, seed);
-        let run = |fold: FoldMode| {
-            let cfg = StripConfig::parallel(threads).with_fold(fold);
-            if pipelined {
-                let mut src = OwnedMemorySource::new(img.clone());
-                analyze_stream_pipelined(&mut src, band, cfg).unwrap()
-            } else {
-                let mut src = MemorySource::new(&img);
-                analyze_stream(&mut src, band, cfg).unwrap()
-            }
-        };
-        let (seq_records, seq_stats) = run(FoldMode::Sequential);
-        let (fused_records, fused_stats) = run(FoldMode::Fused);
-        prop_assert_eq!(
-            fused_records, seq_records,
-            "generator {} band {} threads {} pipelined {}", gen, band, threads, pipelined
-        );
-        prop_assert_eq!(fused_stats, seq_stats);
     }
 
     /// The pipelined scan ∥ merge executor produces the same records as

@@ -9,7 +9,8 @@
 //!   strided columns ([`merge_seam_strided`]) directly over the per-tile
 //!   label buffers, no transpose and no stitched full-width buffer;
 //! * the **horizontal seam** against the carried last pixel row of the
-//!   previous tile row ([`merge_seam`]), exactly like the strip labeler.
+//!   previous tile row — `ccl-stream`'s carry-merge stage
+//!   ([`ccl_stream::merge`]), the same code the strip labeler runs.
 //!
 //! In parallel mode the tiles of the resident row are scanned by
 //! `threads` workers and the vertical seams merge concurrently with the
@@ -24,88 +25,26 @@
 //!
 //! i.e. **at most two tile rows** of pixel-equivalent memory, independent
 //! of image height — and independent of image *width* mattering only
-//! linearly (the carry row), never quadratically.
+//! linearly (the carry row), never quadratically. The grid labeler keeps
+//! only the tile scan and its own output, the per-tile id buffers.
 
 use std::ops::Range;
 
 use ccl_core::par::{MergerKind, MergerStore};
-use ccl_core::scan::{
-    max_labels_two_line, merge_seam, merge_seam_span, merge_seam_strided, scan_two_line,
-    split_spans, Foldable as _, FoldingStore,
-};
+use ccl_core::scan::{max_labels_two_line, merge_seam_strided, scan_two_line, split_spans};
 use ccl_image::BinaryImage;
 use ccl_stream::analysis::Accum;
-use ccl_stream::labeler::fold_carried;
-use ccl_stream::{BandUf, ComponentSink, FoldMode, StreamStats};
+use ccl_stream::merge::{BandUf, CarryMerge, ScannedRows};
+use ccl_stream::{ComponentSink, StreamStats, StripConfig};
 use ccl_unionfind::par::{CasMerger, ConcurrentMerger, ConcurrentParents, LockedMerger};
 use ccl_unionfind::{EquivalenceStore, RemSP, UnionFind};
 
 use crate::error::TilesError;
 use crate::sink::{TileMeta, TileSink};
 
-/// Scan-stage output of the parallel tile-row path: per-tile label
-/// buffers, the shared parent array, the fused partial table
-/// (label-indexed) and the used label ranges.
-type ParallelTileScan = (
-    Vec<Vec<u32>>,
-    ConcurrentParents,
-    Option<Vec<Accum>>,
-    Vec<Range<u32>>,
-);
-
-/// Configuration for [`TileGridLabeler`].
-#[derive(Debug, Clone)]
-pub struct TileGridConfig {
-    /// Worker threads for the in-row tile scans and seam merges
-    /// (1 = fully sequential).
-    pub threads: usize,
-    /// Boundary-merge implementation for the parallel mode.
-    pub merger: MergerKind,
-    /// Lock stripes for [`MergerKind::Locked`]; `None` = default.
-    pub lock_stripes: Option<usize>,
-    /// Accumulation strategy (default [`FoldMode::Fused`]: the tile
-    /// scans build partial accumulator tables, the merge stage folds per
-    /// label instead of re-reading every pixel).
-    pub fold: FoldMode,
-}
-
-impl Default for TileGridConfig {
-    fn default() -> Self {
-        TileGridConfig {
-            threads: 1,
-            merger: MergerKind::default(),
-            lock_stripes: None,
-            fold: FoldMode::default(),
-        }
-    }
-}
-
-impl TileGridConfig {
-    /// Sequential scanning (AREMSP tile by tile).
-    pub fn sequential() -> Self {
-        TileGridConfig::default()
-    }
-
-    /// PAREMSP across `threads` workers within each tile row.
-    pub fn parallel(threads: usize) -> Self {
-        TileGridConfig {
-            threads,
-            ..TileGridConfig::default()
-        }
-    }
-
-    /// Builder: replaces the boundary-merge implementation.
-    pub fn with_merger(mut self, merger: MergerKind) -> Self {
-        self.merger = merger;
-        self
-    }
-
-    /// Builder: replaces the accumulation strategy.
-    pub fn with_fold(mut self, fold: FoldMode) -> Self {
-        self.fold = fold;
-        self
-    }
-}
+/// Configuration for [`TileGridLabeler`]: the strip labeler's, with
+/// `threads` workers scanning the tiles of each row.
+pub type TileGridConfig = StripConfig;
 
 /// Summary returned by [`TileGridLabeler::finish`]. Mirrors
 /// [`StreamStats`] with the grid-specific tile counters added.
@@ -160,20 +99,8 @@ impl TileGridStats {
 /// assert_eq!(sink[0].area, 4);
 /// ```
 pub struct TileGridLabeler {
-    width: usize,
-    cfg: TileGridConfig,
-    rows_done: usize,
-    tile_rows_done: usize,
+    merge: CarryMerge,
     tiles_done: usize,
-    /// Labels (active ids `1..=k`, 0 = background) of the last pixel row
-    /// of the previous tile row; empty before the first row.
-    carry: Vec<u32>,
-    /// Accumulators of the open components, indexed by active id (slot 0
-    /// unused).
-    active: Vec<Accum>,
-    next_gid: u64,
-    finalized: u64,
-    peak_resident_rows: usize,
 }
 
 impl TileGridLabeler {
@@ -185,48 +112,40 @@ impl TileGridLabeler {
     /// Labeler with explicit configuration.
     pub fn with_config(width: usize, cfg: TileGridConfig) -> Self {
         TileGridLabeler {
-            width,
-            cfg,
-            rows_done: 0,
-            tile_rows_done: 0,
+            merge: CarryMerge::new(width, cfg),
             tiles_done: 0,
-            carry: Vec::new(),
-            active: vec![Accum::EMPTY],
-            next_gid: 1,
-            finalized: 0,
-            peak_resident_rows: 0,
         }
     }
 
     /// Grid width in pixels.
     pub fn width(&self) -> usize {
-        self.width
+        self.merge.width()
     }
 
     /// Pixel rows labeled so far.
     pub fn rows_pushed(&self) -> usize {
-        self.rows_done
+        self.merge.rows_done()
     }
 
     /// Tile rows pushed so far.
     pub fn tile_rows_pushed(&self) -> usize {
-        self.tile_rows_done
+        self.merge.bands_done()
     }
 
     /// Components currently open (touching the carry row).
     pub fn open_components(&self) -> usize {
-        self.active.len() - 1
+        self.merge.open_components()
     }
 
     /// Components emitted so far.
     pub fn finalized_components(&self) -> u64 {
-        self.finalized
+        self.merge.finalized_components()
     }
 
     /// Maximum pixel rows resident at any point so far (tallest tile row
     /// + 1 carry row) — never exceeds two tile rows.
     pub fn peak_resident_rows(&self) -> usize {
-        self.peak_resident_rows
+        self.merge.peak_resident_rows()
     }
 
     /// Labels the next tile row, emitting every component that closes.
@@ -253,20 +172,15 @@ impl TileGridLabeler {
 
     /// Closes the grid: every still-open component is finalized and
     /// emitted (ascending id), and the run's summary returned.
-    pub fn finish<C: ComponentSink + ?Sized>(mut self, components: &mut C) -> TileGridStats {
-        let mut remaining: Vec<Accum> = self.active.drain(1..).collect();
-        remaining.sort_by_key(|a| a.gid);
-        for acc in remaining {
-            self.finalized += 1;
-            components.component(&acc.into_record());
-        }
+    pub fn finish<C: ComponentSink + ?Sized>(self, components: &mut C) -> TileGridStats {
+        let stats = self.merge.finish(components);
         TileGridStats {
-            width: self.width,
-            rows: self.rows_done,
-            tile_rows: self.tile_rows_done,
+            width: stats.width,
+            rows: stats.rows,
+            tile_rows: stats.bands,
             tiles: self.tiles_done,
-            components: self.finalized,
-            peak_resident_rows: self.peak_resident_rows,
+            components: stats.components,
+            peak_resident_rows: stats.peak_resident_rows,
         }
     }
 
@@ -276,367 +190,69 @@ impl TileGridLabeler {
         components: &mut dyn ComponentSink,
         sink: Option<&mut dyn TileSink>,
     ) -> Result<(), TilesError> {
-        let n_carry = (self.active.len() - 1) as u32;
-        let row = scan_tile_row(tiles, self.width, &self.cfg, n_carry, self.rows_done)?;
+        let m = &self.merge;
+        let carry_cap = m.open_components() as u32;
+        let row = scan_tile_row(tiles, m.width(), m.config(), carry_cap, m.rows_done())?;
         self.merge_scanned(row, components, sink)
     }
 
-    /// The merge/accumulate stage: restores connectivity between a
-    /// scanned tile row and the carried boundary row, folds the open
-    /// accumulators, emits closed components (and labeled tiles), and
-    /// rebuilds the carry. Counterpart of [`scan_tile_row`]; the two
-    /// called back-to-back are exactly [`Self::push_tile_row`], while the
-    /// pipelined executor ([`crate::pipeline`]) runs them on different
-    /// threads, one tile row apart.
+    /// The merge stage ([`CarryMerge::merge`]) plus the labeled tiles.
+    /// Counterpart of [`scan_tile_row`]; the two called back-to-back are
+    /// exactly [`Self::push_tile_row`], while the pipelined executor
+    /// ([`crate::pipeline`]) runs them on different threads, one tile row
+    /// apart.
     pub(crate) fn merge_scanned(
         &mut self,
         row: ScannedTileRow,
         components: &mut dyn ComponentSink,
         sink: Option<&mut dyn TileSink>,
     ) -> Result<(), TilesError> {
-        let th = row.th;
-        if row.degenerate {
-            self.rows_done += th;
-            self.tile_rows_done += usize::from(th > 0);
+        self.tiles_done += row.labels.bufs.len();
+        let merged = self.merge.merge(row, components, sink.is_some());
+        let (Some(sink), Some(out)) = (sink, merged) else {
             return Ok(());
-        }
-        let w = self.width;
-        self.peak_resident_rows = self
-            .peak_resident_rows
-            .max(th + usize::from(!self.carry.is_empty()));
-        let n_carry = (self.active.len() - 1) as u32;
-        let r0 = self.rows_done;
-        let nslots = row.uf.slots();
-
-        let ScannedTileRow {
-            widths,
-            x0s,
-            bufs,
-            mut uf,
-            partials,
-            used,
-            ..
-        } = row;
-        let ntiles = bufs.len();
-
-        let mut root_of: Vec<u32> = vec![u32::MAX; nslots];
-        let mut touched: Vec<u32> = Vec::new();
-        let mut merges: Vec<(u64, u64)> = Vec::new();
-
-        // Fold phase: after this block `acc[root]` holds the complete
-        // accumulator of every component with a pixel in the row (fresh
-        // ones still gid 0), `touched` lists the occupied roots, and
-        // `merges` the carried-id pairs that turned out to be one
-        // component. The horizontal carry seam — the only part of the
-        // row's labeling that depends on earlier tile rows — runs here
-        // too.
-        let mut acc = match partials {
-            Some(mut parts) => {
-                // Fused: partials are complete except the row's first
-                // line — absorb it here, where the carry row is known
-                // (labels double as the foreground mask).
-                for t in 0..ntiles {
-                    let tw = widths[t];
-                    for c in 0..tw {
-                        let l = bufs[t][c];
-                        if l == 0 {
-                            continue;
-                        }
-                        let x = x0s[t] + c;
-                        let west = if c > 0 {
-                            bufs[t][c - 1] != 0
-                        } else {
-                            t > 0 && widths[t - 1] > 0 && bufs[t - 1][widths[t - 1] - 1] != 0
-                        };
-                        let (nw, north, ne) = if !self.carry.is_empty() {
-                            (
-                                x > 0 && self.carry[x - 1] != 0,
-                                self.carry[x] != 0,
-                                x + 1 < w && self.carry[x + 1] != 0,
-                            )
-                        } else {
-                            (false, false, false)
-                        };
-                        parts[l as usize].absorb(r0, x, west, nw, north, ne);
-                    }
-                }
-                let is_par = matches!(uf, BandUf::Par(_));
-                match &mut uf {
-                    BandUf::Seq(store) => {
-                        // Fold each used label's partial onto its in-row
-                        // root, then let the carry seam itself combine
-                        // partials as it unions (the core fold hook).
-                        for range in &used {
-                            for l in range.clone() {
-                                if parts[l as usize].is_empty() {
-                                    continue;
-                                }
-                                let root = store.find(l);
-                                if root == l {
-                                    touched.push(l);
-                                } else {
-                                    let p = std::mem::replace(&mut parts[l as usize], Accum::EMPTY);
-                                    parts[root as usize].fold(&p);
-                                }
-                            }
-                        }
-                        for id in 1..=n_carry {
-                            parts[id as usize] = self.active[id as usize];
-                            touched.push(id);
-                        }
-                        if !self.carry.is_empty() {
-                            let top = assemble_row(&bufs, &widths, 0, w);
-                            let mut folding = FoldingStore::new(store, &mut parts);
-                            merge_seam(&self.carry, &top, &mut folding);
-                        }
-                        // Carried ids that now share a root merged; replay
-                        // the pairwise events (identical to the
-                        // sequential fold's bookkeeping).
-                        let mut kept: Vec<u64> = vec![0; n_carry as usize + 1];
-                        for id in 1..=n_carry {
-                            let root = store.find(id) as usize;
-                            debug_assert!(root <= n_carry as usize, "carried roots are carried");
-                            let gid = self.active[id as usize].gid;
-                            if kept[root] == 0 {
-                                kept[root] = gid;
-                            } else {
-                                let (k, a) = if kept[root] <= gid {
-                                    (kept[root], gid)
-                                } else {
-                                    (gid, kept[root])
-                                };
-                                merges.push((k, a));
-                                kept[root] = k;
-                            }
-                        }
-                    }
-                    BandUf::Par(parents) => {
-                        // Concurrent mergers cannot fold safely mid-union:
-                        // run the carry seam first (column spans across
-                        // the workers); the fold below happens after, per
-                        // label — O(labels), not O(pixels).
-                        if !self.carry.is_empty() {
-                            let top = assemble_row(&bufs, &widths, 0, w);
-                            merge_carry_seam_parallel(&self.carry, &top, parents, &self.cfg);
-                        }
-                    }
-                }
-                if is_par {
-                    fold_carried(
-                        &mut uf,
-                        &self.active,
-                        n_carry,
-                        &mut parts,
-                        &mut touched,
-                        &mut merges,
-                    );
-                    for range in &used {
-                        for l in range.clone() {
-                            if parts[l as usize].is_empty() {
-                                continue;
-                            }
-                            let root = uf.find(l);
-                            root_of[l as usize] = root;
-                            if root == l {
-                                touched.push(l);
-                            } else {
-                                let p = std::mem::replace(&mut parts[l as usize], Accum::EMPTY);
-                                parts[root as usize].fold(&p);
-                            }
-                        }
-                    }
-                }
-                parts
-            }
-            None => {
-                // Sequential fold: seam first, then one pass over the
-                // row's pixels accumulating per root (the pre-fused
-                // baseline).
-                if !self.carry.is_empty() {
-                    let top = assemble_row(&bufs, &widths, 0, w);
-                    match &mut uf {
-                        BandUf::Seq(store) => merge_seam(&self.carry, &top, store),
-                        BandUf::Par(parents) => {
-                            merge_carry_seam_parallel(&self.carry, &top, parents, &self.cfg)
-                        }
-                    }
-                }
-                let mut acc = vec![Accum::EMPTY; nslots];
-                fold_carried(
-                    &mut uf,
-                    &self.active,
-                    n_carry,
-                    &mut acc,
-                    &mut touched,
-                    &mut merges,
-                );
-
-                // Accumulate the row's pixels per root in *global raster
-                // order* (row-major across the whole tile row), so fresh
-                // ids are assigned exactly as the strip labeler would and
-                // anchors stay raster-first. `prev`/`cur` carry the
-                // previous global pixel row's foreground mask across tile
-                // boundaries for the perimeter/Euler folds (the carry row
-                // for the first line).
-                let mut prev: Vec<bool> = vec![false; w];
-                for (x, &l) in self.carry.iter().enumerate() {
-                    prev[x] = l != 0;
-                }
-                let mut cur: Vec<bool> = vec![false; w];
-                for r in 0..th {
-                    for t in 0..ntiles {
-                        let tw = widths[t];
-                        let base = r * tw;
-                        for c in 0..tw {
-                            let l = bufs[t][base + c];
-                            let x = x0s[t] + c;
-                            cur[x] = l != 0;
-                            if l == 0 {
-                                continue;
-                            }
-                            let root = uf.find_cached(&mut root_of, l);
-                            let west = x > 0 && cur[x - 1];
-                            let nw = x > 0 && prev[x - 1];
-                            let north = prev[x];
-                            let ne = x + 1 < w && prev[x + 1];
-                            let slot = &mut acc[root as usize];
-                            let (gr, gc) = (r0 + r, x);
-                            if slot.area == 0 {
-                                debug_assert!(!west && !north, "first pixel with live 4-neighbour");
-                                *slot = Accum::first(gr, gc);
-                                touched.push(root);
-                            } else {
-                                slot.add(gr, gc, west, nw, north, ne);
-                            }
-                        }
-                    }
-                    std::mem::swap(&mut prev, &mut cur);
-                }
-                acc
-            }
         };
-
-        // Assign fresh ids in raster order of each new component's first
-        // pixel — its anchor, unique per component, so the sort
-        // reproduces the sequential pass's id sequence exactly.
-        let mut fresh: Vec<((usize, usize), u32)> = touched
-            .iter()
-            .filter(|&&root| {
-                let a = &acc[root as usize];
-                a.area > 0 && a.gid == 0
-            })
-            .map(|&root| (acc[root as usize].anchor, root))
-            .collect();
-        fresh.sort_unstable();
-        for &(_, root) in &fresh {
-            acc[root as usize].gid = self.next_gid;
-            self.next_gid += 1;
+        for &(kept, absorbed) in &out.merges {
+            sink.merge(kept, absorbed);
         }
-
-        // Components with a pixel on the row's last line stay open:
-        // compact them to active ids 1..=k and rebuild the carry row.
-        // The fused sequential path resolves roots lazily: its carry seam
-        // changed roots after the fold sweep, so the cache fills here.
-        let mut new_active: Vec<Accum> = vec![Accum::EMPTY];
-        let mut new_carry = vec![0u32; w];
-        let mut survivor_id: Vec<u32> = vec![0; nslots];
-        for t in 0..ntiles {
-            let tw = widths[t];
-            let base = (th - 1) * tw;
-            for c in 0..tw {
-                let l = bufs[t][base + c];
-                if l == 0 {
-                    continue;
-                }
-                let root = uf.find_cached(&mut root_of, l) as usize;
-                if survivor_id[root] == 0 {
-                    new_active.push(acc[root]);
-                    survivor_id[root] = (new_active.len() - 1) as u32;
-                }
-                new_carry[x0s[t] + c] = survivor_id[root];
-            }
+        let TileLabels { widths, x0s, bufs } = &out.labels;
+        for (t, buf) in bufs.iter().enumerate() {
+            let gids: Vec<u64> = buf
+                .iter()
+                .map(|&l| if l == 0 { 0 } else { out.gid(l) })
+                .collect();
+            let meta = TileMeta {
+                tile_row: out.index,
+                tile_col: t,
+                row0: out.first_row,
+                col0: x0s[t],
+                width: widths[t],
+                height: out.rows,
+            };
+            sink.tile(&meta, &gids)?;
         }
-
-        let mut closed: Vec<Accum> = touched
-            .iter()
-            .filter(|&&root| survivor_id[root as usize] == 0 && acc[root as usize].area > 0)
-            .map(|&root| acc[root as usize])
-            .collect();
-        closed.sort_by_key(|a| a.gid);
-        for acc in closed {
-            self.finalized += 1;
-            components.component(&acc.into_record());
-        }
-
-        if let Some(sink) = sink {
-            merges.sort_unstable();
-            for (kept, absorbed) in merges {
-                sink.merge(kept, absorbed);
-            }
-            for t in 0..ntiles {
-                let tw = widths[t];
-                let mut gids = vec![0u64; tw * th];
-                for (i, g) in gids.iter_mut().enumerate() {
-                    let l = bufs[t][i];
-                    if l == 0 {
-                        continue;
-                    }
-                    let root = uf.find_cached(&mut root_of, l);
-                    *g = acc[root as usize].gid;
-                }
-                sink.tile(
-                    &TileMeta {
-                        tile_row: self.tile_rows_done,
-                        tile_col: t,
-                        row0: r0,
-                        col0: x0s[t],
-                        width: widths[t],
-                        height: th,
-                    },
-                    &gids,
-                )?;
-            }
-        }
-
-        self.active = new_active;
-        self.carry = new_carry;
-        self.rows_done += th;
-        self.tile_rows_done += 1;
-        self.tiles_done += ntiles;
         Ok(())
     }
 }
 
-/// Post-scan state of one tile row: per-tile label buffers with the
-/// vertical seams already merged, and the union-find view the merge
-/// stage resolves roots through. Produced by [`scan_tile_row`], consumed
-/// by [`TileGridLabeler::merge_scanned`].
-pub(crate) struct ScannedTileRow {
-    /// Height of every tile in the row (0 for degenerate rows).
-    pub(crate) th: usize,
-    /// Per-tile widths, left to right.
-    pub(crate) widths: Vec<usize>,
+/// One tile row's labels: per-tile buffers (row-major within each tile),
+/// left to right.
+#[derive(Default)]
+pub(crate) struct TileLabels {
+    /// Per-tile widths.
+    widths: Vec<usize>,
     /// Per-tile global column offsets.
-    pub(crate) x0s: Vec<usize>,
-    /// Per-tile label buffers (row-major within each tile).
-    pub(crate) bufs: Vec<Vec<u32>>,
-    /// The row's equivalences: carried-id slots `1..=carry_cap`, tile
-    /// labels from `carry_cap + 1`.
-    pub(crate) uf: BandUf,
-    /// Fused mode: partial accumulators indexed by provisional label,
-    /// covering every pixel of the row except its first line (whose
-    /// upper neighbours are the carry row the scan must not read).
-    pub(crate) partials: Option<Vec<Accum>>,
-    /// Provisional-label ranges the scan actually allocated — the merge
-    /// stage's fold sweeps these instead of the full slot space.
-    pub(crate) used: Vec<Range<u32>>,
-    /// True for rows with no pixels (zero height or zero width): the
-    /// merge stage only counts them.
-    pub(crate) degenerate: bool,
+    x0s: Vec<usize>,
+    /// Per-tile label buffers.
+    bufs: Vec<Vec<u32>>,
 }
 
-/// Accumulates one tile's fused partial table: every foreground pixel of
-/// the tile's rows `1..th` folds its single-pixel accumulator into
+/// Post-scan state of one tile row, vertical seams merged. Produced by
+/// [`scan_tile_row`], consumed by [`TileGridLabeler::merge_scanned`].
+pub(crate) type ScannedTileRow = ScannedRows<TileLabels>;
+
+/// Accumulates one tile's partial table: every foreground pixel of the
+/// tile's rows `1..th` folds its single-pixel accumulator into
 /// `parts[label - base]`. Neighbour probes read the raw tile pixels —
 /// the adjacent tiles' edge columns included — so the result never
 /// depends on another tile's label buffer, which may not exist yet. The
@@ -690,20 +306,17 @@ fn accumulate_tile(
 /// The scan stage: validates a tile row's shape, scans every tile with
 /// chunk-local semantics (RemSP sequentially, PAREMSP worker groups in
 /// parallel mode), merges the vertical seams between adjacent tiles, and
-/// — in [`FoldMode::Fused`] — accumulates every tile's partial table
-/// while the pixels are hot ([`accumulate_tile`]).
+/// accumulates every tile's partial table while the pixels are hot
+/// ([`accumulate_tile`]).
 ///
 /// Everything here is independent of the carried boundary row — the one
 /// dependency between consecutive tile rows — except for the size of the
 /// reserved low label slots: carried ids occupy `1..=carry_cap`, tile
 /// labels start at `carry_cap + 1`. The synchronous path passes the
 /// exact open-component count; the pipelined executor passes the width
-/// bound `⌈w/2⌉` (no row can carry more open components than that), so
-/// the scan can run before the previous row's compaction has decided the
-/// real count. Unused reserved slots stay singleton sets that no tile
-/// label ever resolves to, so the output is identical either way. `r0`
-/// is the global row of the tile row's first line (partial accumulators
-/// hold global coordinates).
+/// bound [`carry_bound`](ccl_stream::merge::carry_bound). `r0` is the
+/// global row of the tile row's first line (partial accumulators hold
+/// global coordinates).
 pub(crate) fn scan_tile_row(
     tiles: &[BinaryImage],
     width: usize,
@@ -726,18 +339,8 @@ pub(crate) fn scan_tile_row(
         });
     }
     if th == 0 || width == 0 {
-        return Ok(ScannedTileRow {
-            th,
-            widths: Vec::new(),
-            x0s: Vec::new(),
-            bufs: Vec::new(),
-            uf: BandUf::Seq(RemSP::new()),
-            partials: None,
-            used: Vec::new(),
-            degenerate: true,
-        });
+        return Ok(ScannedRows::empty(th));
     }
-    let fused = cfg.fold == FoldMode::Fused;
     let widths: Vec<usize> = tiles.iter().map(BinaryImage::width).collect();
     let mut x0s = Vec::with_capacity(tiles.len());
     let mut x0 = 0usize;
@@ -758,17 +361,13 @@ pub(crate) fn scan_tile_row(
             store.new_label(id);
         }
         let mut bufs: Vec<Vec<u32>> = widths.iter().map(|&tw| vec![0u32; tw * th]).collect();
-        let mut partials = fused.then(|| vec![Accum::EMPTY; capacity]);
+        let mut partials = vec![Accum::EMPTY; capacity];
         let mut next = carry_cap + 1;
         for (t, buf) in bufs.iter_mut().enumerate() {
             next = scan_two_line(&tiles[t], 0..th, buf, &mut store, next);
-            if let Some(parts) = &mut partials {
-                accumulate_tile(tiles, t, buf, th, r0, x0s[t], 0, parts);
-            }
+            accumulate_tile(tiles, t, buf, th, r0, x0s[t], 0, &mut partials);
         }
-        if let Some(parts) = &mut partials {
-            parts.truncate(next as usize);
-        }
+        partials.truncate(next as usize);
         for t in 1..tiles.len() {
             let lw = widths[t - 1];
             merge_seam_strided(
@@ -780,7 +379,7 @@ pub(crate) fn scan_tile_row(
                 &mut store,
             );
         }
-        let used: Vec<Range<u32>> = std::iter::once(carry_cap + 1..next).collect();
+        let used = std::iter::once(carry_cap + 1..next).collect();
         (bufs, BandUf::Seq(store), partials, used)
     } else {
         let (bufs, parents, partials, used) = match cfg.merger {
@@ -804,54 +403,15 @@ pub(crate) fn scan_tile_row(
         };
         (bufs, BandUf::Par(parents), partials, used)
     };
-    Ok(ScannedTileRow {
-        th,
-        widths,
-        x0s,
-        bufs,
+    Ok(ScannedRows {
+        h: th,
+        top: assemble_row(&bufs, &widths, 0, width),
+        last: assemble_row(&bufs, &widths, th - 1, width),
+        labels: TileLabels { widths, x0s, bufs },
         uf,
         partials,
         used,
-        degenerate: false,
     })
-}
-
-/// Merges the horizontal carry seam in column spans across the
-/// configured workers (phase 3 of the parallel mode, run by the merge
-/// stage because it needs the carry row).
-fn merge_carry_seam_parallel(
-    carry: &[u32],
-    top: &[u32],
-    parents: &ConcurrentParents,
-    cfg: &TileGridConfig,
-) {
-    match cfg.merger {
-        MergerKind::Locked => {
-            let merger = match cfg.lock_stripes {
-                Some(s) => LockedMerger::with_stripes(s),
-                None => LockedMerger::new(),
-            };
-            carry_seam_spans(carry, top, parents, cfg.threads, &merger);
-        }
-        MergerKind::Cas => carry_seam_spans(carry, top, parents, cfg.threads, &CasMerger::new()),
-    }
-}
-
-fn carry_seam_spans<M: ConcurrentMerger>(
-    carry: &[u32],
-    top: &[u32],
-    parents: &ConcurrentParents,
-    threads: usize,
-    merger: &M,
-) {
-    rayon::scope(|s| {
-        for span in split_spans(carry.len(), threads) {
-            s.spawn(move |_| {
-                let mut store = MergerStore::new(parents, merger);
-                merge_seam_span(carry, top, span, &mut store);
-            });
-        }
-    });
 }
 
 /// Copies local row `r` of every tile buffer into one `width`-long row.
@@ -864,14 +424,23 @@ fn assemble_row(bufs: &[Vec<u32>], widths: &[usize], r: usize, width: usize) -> 
     row
 }
 
+/// Scan-stage output of the parallel tile-row path: per-tile label
+/// buffers, the shared parent array, the partial table (label-indexed)
+/// and the used label ranges.
+type ParallelTileScan = (
+    Vec<Vec<u32>>,
+    ConcurrentParents,
+    Vec<Accum>,
+    Vec<Range<u32>>,
+);
+
 /// Parallel tile-row scan: tiles are grouped into at most `threads`
 /// contiguous runs scanned concurrently with disjoint provisional-label
 /// ranges, then the vertical seams merge concurrently with the configured
-/// MERGER. In [`FoldMode::Fused`] every worker also accumulates its
-/// tiles' partial [`Accum`] tables (contention-free: partials live in
-/// the tile's own label range; neighbour probes read raw pixels, never
-/// another worker's labels). The horizontal carry seam is the merge
-/// stage's job ([`merge_carry_seam_parallel`]).
+/// MERGER. Every worker also accumulates its tiles' partial [`Accum`]
+/// tables (contention-free: partials live in the tile's own label range;
+/// neighbour probes read raw pixels, never another worker's labels). The
+/// horizontal carry seam is the merge stage's job.
 #[allow(clippy::too_many_arguments)]
 fn scan_tile_row_parallel<M: ConcurrentMerger>(
     tiles: &[BinaryImage],
@@ -885,7 +454,6 @@ fn scan_tile_row_parallel<M: ConcurrentMerger>(
 ) -> ParallelTileScan {
     let ntiles = tiles.len();
     let threads = cfg.threads.max(1);
-    let fused = cfg.fold == FoldMode::Fused;
     // disjoint label ranges, one per tile
     let mut offsets = Vec::with_capacity(ntiles);
     let mut next = carry_cap + 1;
@@ -901,20 +469,17 @@ fn scan_tile_row_parallel<M: ConcurrentMerger>(
         }
     }
     let mut bufs: Vec<Vec<u32>> = widths.iter().map(|&tw| vec![0u32; tw * th]).collect();
-    let mut partials = fused.then(|| vec![Accum::EMPTY; next as usize]);
+    let mut partials = vec![Accum::EMPTY; next as usize];
     let mut nexts: Vec<u32> = offsets.clone();
 
     // Phase 1: per-tile scans, grouped into contiguous runs of tiles
-    // (contention-free: disjoint ranges, one ChunkStore per group);
-    // fused mode accumulates each tile's partial table in the same
-    // worker, right after its scan, while the pixels are hot.
+    // (contention-free: disjoint ranges, one ChunkStore per group), each
+    // tile's partial table accumulated in the same worker, right after
+    // its scan, while the pixels are hot.
     rayon::scope(|s| {
         let mut rest: &mut [Vec<u32>] = &mut bufs;
         let mut rest_next: &mut [u32] = &mut nexts;
-        let mut rest_parts: &mut [Accum] = match &mut partials {
-            Some(p) => &mut p[(carry_cap as usize + 1)..],
-            None => &mut [],
-        };
+        let mut rest_parts: &mut [Accum] = &mut partials[(carry_cap as usize + 1)..];
         for group in split_spans(ntiles, threads) {
             let (mine, tail) = rest.split_at_mut(group.len());
             rest = tail;
@@ -924,11 +489,7 @@ fn scan_tile_row_parallel<M: ConcurrentMerger>(
                 .clone()
                 .map(|t| max_labels_two_line(th, widths[t]))
                 .sum();
-            let (my_parts, ptail) = if fused {
-                rest_parts.split_at_mut(group_caps)
-            } else {
-                (&mut [] as &mut [Accum], rest_parts)
-            };
+            let (my_parts, ptail) = rest_parts.split_at_mut(group_caps);
             rest_parts = ptail;
             let parents = &parents;
             let offsets = &offsets;
@@ -937,12 +498,10 @@ fn scan_tile_row_parallel<M: ConcurrentMerger>(
                 let mut parts_rest = my_parts;
                 for ((t, buf), next_out) in group.zip(mine).zip(my_nexts) {
                     *next_out = scan_two_line(&tiles[t], 0..th, buf, &mut store, offsets[t]);
-                    if fused {
-                        let cap = max_labels_two_line(th, widths[t]);
-                        let (tile_parts, tail) = parts_rest.split_at_mut(cap);
-                        parts_rest = tail;
-                        accumulate_tile(tiles, t, buf, th, r0, x0s[t], offsets[t], tile_parts);
-                    }
+                    let cap = max_labels_two_line(th, widths[t]);
+                    let (tile_parts, tail) = parts_rest.split_at_mut(cap);
+                    parts_rest = tail;
+                    accumulate_tile(tiles, t, buf, th, r0, x0s[t], offsets[t], tile_parts);
                 }
             });
         }
@@ -1103,28 +662,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_fold_is_bit_identical_to_sequential_fold() {
-        let mut state = 77u64;
-        let mut rnd = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 40) & 1 == 1
-        };
-        let img = BinaryImage::from_fn(29, 23, |_, _| rnd());
-        for (tw, th) in [(1, 1), (4, 3), (7, 5), (29, 23)] {
-            for threads in [1, 2, 4] {
-                let seq_cfg = TileGridConfig::parallel(threads).with_fold(FoldMode::Sequential);
-                let fused_cfg = TileGridConfig::parallel(threads).with_fold(FoldMode::Fused);
-                let (seq, seq_stats) = run_tiled(&img, tw, th, seq_cfg);
-                let (fused, fused_stats) = run_tiled(&img, tw, th, fused_cfg);
-                assert_eq!(fused, seq, "{tw}x{th} tiles, {threads} threads");
-                assert_eq!(fused_stats, seq_stats);
-            }
-        }
-    }
-
-    #[test]
     fn bounded_memory_invariant() {
         let img = BinaryImage::from_fn(32, 64, |r, c| (r + c) % 3 != 0);
         let (_, stats) = run_tiled(&img, 8, 8, TileGridConfig::default());
@@ -1208,5 +745,18 @@ mod tests {
         let stats = labeler.finish(&mut sink);
         assert_eq!(stats.components, 0);
         assert_eq!(stats.rows, 5);
+
+        // Rows without pixels hold nothing resident, in every driver.
+        let img = BinaryImage::zeros(0, 8);
+        let grid = || crate::source::GridSource::from_image(&img, 4, 4);
+        let cfg = TileGridConfig::default;
+        let sync = crate::driver::label_tiles(&mut grid(), cfg(), &mut sink).unwrap();
+        let piped = crate::driver::label_tiles_pipelined(&mut grid(), cfg(), &mut sink).unwrap();
+        let (_, labeled) =
+            crate::driver::tiles_to_label_image_pipelined(&mut grid(), cfg()).unwrap();
+        for stats in [&sync, &piped, &labeled] {
+            assert_eq!((stats.rows, stats.tiles, stats.components), (8, 0, 0));
+            assert_eq!(stats.peak_resident_rows, 0);
+        }
     }
 }

@@ -1,34 +1,21 @@
 //! Pipelined tile-row execution — overlap row *k*'s merge with row
-//! *k + 1*'s scans.
+//! *k + 1*'s scans, on `ccl-stream`'s scan ∥ merge executor
+//! ([`ccl_stream::pipeline::run_scan_merge`]).
 //!
-//! The grid labeler's work per tile row splits into two stages with one
-//! dependency between consecutive rows:
-//!
-//! * **scan stage** — pull the next tile row from the source, scan every
-//!   tile, merge the vertical seams (`scan_tile_row`): independent of
-//!   everything before it, because carried ids are reserved by the width
-//!   bound `⌈w/2⌉` rather than the actual open-component count;
-//! * **merge stage** — the horizontal seam against the carry row, the
-//!   accumulator fold, compaction, component emission and (optionally)
-//!   tile spilling (`TileGridLabeler::merge_scanned`): inherently
-//!   sequential, because each row's carry feeds the next.
-//!
-//! The executor here runs the scan stage on a worker thread and the merge
-//! stage on the caller's thread, handing scanned rows across a
-//! **rendezvous channel** (capacity 0): the scanner cannot run more than
-//! one tile row ahead, so at any instant at most *two* tile rows are
-//! alive — row *k* (labels, under merge) and row *k + 1* (pixels + labels,
-//! under scan) — plus the carried boundary row. That is the pipelined
-//! residency bound `2 × tile_height + 1` pixel rows, reported through
-//! [`TileGridStats::peak_resident_rows`].
-//!
-//! Errors never hang the pipeline: a failing source or scan surfaces
-//! through the channel disconnect + join, a failing merge/sink drops the
-//! receiver so the scanner's blocked send aborts, and a panicking source
-//! is converted into [`TilesError::Worker`].
+//! The scan stage pulls the next tile row from the source, scans every
+//! tile and merges the vertical seams (`scan_tile_row`), reserving
+//! carried ids by the width bound so it never waits for the previous
+//! row. The merge stage runs the horizontal carry seam, fold, compaction
+//! and component emission, then (optionally) spills the labeled tiles
+//! (`TileGridLabeler::merge_scanned`). At most two tile rows are alive
+//! plus the carried boundary row: the pipelined residency bound
+//! `2 × tile_height + 1` pixel rows, reported through
+//! [`TileGridStats::peak_resident_rows`]. A failing source, scan or sink
+//! surfaces as its own error; a panicking source as
+//! [`TilesError::Worker`].
 
-use std::sync::mpsc;
-
+use ccl_stream::merge::carry_bound;
+use ccl_stream::pipeline::run_scan_merge;
 use ccl_stream::ComponentSink;
 
 use crate::error::TilesError;
@@ -51,61 +38,26 @@ where
     S: TileSource + Send + ?Sized,
 {
     let width = source.width();
-    // No carry row can hold more open components than ⌈w/2⌉ (adjacent
-    // foreground pixels share one), so reserving that many low slots
-    // makes every scan independent of the previous row's compaction.
-    let carry_cap = width.div_ceil(2) as u32;
+    let carry_cap = carry_bound(width);
     let mut labeler = TileGridLabeler::with_config(width, cfg.clone());
-
-    // Residency: while the merge stage holds row k, the scan stage holds
-    // at most row k + 1 (rendezvous channel — the send blocks until the
-    // merge stage takes the row). Deterministic accounting: the max over
-    // consecutive row-height pairs, plus the carry row once two or more
-    // rows exist.
-    let mut prev_th = 0usize;
-    let mut max_pair = 0usize;
-    let mut nrows = 0usize;
-
-    let (tx, rx) = mpsc::sync_channel(0);
-    let scan_cfg = cfg;
-    let merge_result = std::thread::scope(|s| {
-        let scanner = s.spawn(move || -> Result<(), TilesError> {
-            let mut r0 = 0usize;
-            while let Some(tiles) = source.next_tile_row()? {
-                let row = scan_tile_row(&tiles, width, &scan_cfg, carry_cap, r0)?;
-                r0 += row.th;
-                drop(tiles); // pixels are dead once scanned
-                if tx.send(row).is_err() {
-                    break; // merge stage stopped early (error): unblock and exit
-                }
-            }
-            Ok(())
-        });
-
-        let mut merged: Result<(), TilesError> = Ok(());
-        while let Ok(row) = rx.recv() {
-            nrows += 1;
-            max_pair = max_pair.max(prev_th + row.th);
-            prev_th = row.th;
-            let sink_ref = sink.as_mut().map(|s| &mut **s as &mut dyn TileSink);
-            if let Err(e) = labeler.merge_scanned(row, components, sink_ref) {
-                merged = Err(e);
-                break;
-            }
-        }
-        // A merge error leaves rows queued: drop the receiver so the
-        // scanner's blocked send fails and the thread exits.
-        drop(rx);
-        let scanned = match scanner.join() {
-            Ok(r) => r,
-            Err(payload) => Err(TilesError::worker_panic(payload.as_ref())),
-        };
-        merged.and(scanned)
-    });
-    merge_result?;
-
+    let mut r0 = 0usize;
+    let peak = run_scan_merge(
+        || {
+            let Some(tiles) = source.next_tile_row()? else {
+                return Ok(None);
+            };
+            let row = scan_tile_row(&tiles, width, &cfg, carry_cap, r0)?;
+            r0 += row.h;
+            Ok(Some(row))
+        },
+        |row| {
+            let sink = sink.as_mut().map(|s| &mut **s as &mut dyn TileSink);
+            labeler.merge_scanned(row, components, sink)
+        },
+        TilesError::worker_panic,
+    )?;
     let mut stats = labeler.finish(components);
-    stats.peak_resident_rows = max_pair + usize::from(nrows >= 2);
+    stats.peak_resident_rows = peak;
     Ok(stats)
 }
 

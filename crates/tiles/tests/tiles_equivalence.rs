@@ -20,8 +20,8 @@ use ccl_datasets::synth::texture::{checkerboard, grating, rings, stripes};
 use ccl_image::BinaryImage;
 use ccl_stream::ComponentRecord;
 use ccl_tiles::{
-    analyze_tiles, read_spilled_label_image, spill_tiles, temp_spill_dir, tiles_to_label_image,
-    GridSource, SpillFormat, TileGridConfig,
+    analyze_tiles, analyze_tiles_pipelined, read_spilled_label_image, spill_tiles, temp_spill_dir,
+    tiles_to_label_image, GridSource, SpillFormat, TileGridConfig,
 };
 
 /// One image per synthetic generator family (mirrors the `ccl-stream`
@@ -129,20 +129,59 @@ fn record_features(records: &[ComponentRecord]) -> Features {
     out
 }
 
-fn tiled_features(img: &BinaryImage, tw: usize, th: usize, cfg: TileGridConfig) -> Features {
+/// The record-stream invariants a whole-image oracle cannot see: (a) ids
+/// strictly increase with the raster order of anchors; (b) records are
+/// emitted sorted by (closing tile row, id) — a component closes in the
+/// tile row holding the row after its last one, `(max_row + 1) / th`,
+/// and one reaching the last image row closes at `finish`.
+fn assert_emission_order(records: &[ComponentRecord], th: usize, height: usize) {
+    let mut by_anchor: Vec<_> = records.iter().map(|r| (r.anchor, r.id)).collect();
+    by_anchor.sort_unstable();
+    assert!(
+        by_anchor.windows(2).all(|p| p[0].1 < p[1].1),
+        "ids follow the raster order of anchors"
+    );
+    let key = |r: &ComponentRecord| {
+        let closing = if r.bbox.2 + 1 == height {
+            usize::MAX
+        } else {
+            (r.bbox.2 + 1) / th
+        };
+        (closing, r.id)
+    };
+    assert!(
+        records.windows(2).all(|p| key(&p[0]) < key(&p[1])),
+        "records emitted by (closing tile row, id)"
+    );
+}
+
+fn tiled_features(
+    img: &BinaryImage,
+    tw: usize,
+    th: usize,
+    cfg: TileGridConfig,
+    pipelined: bool,
+) -> Features {
     let mut src = GridSource::from_image(img, tw, th);
-    let (records, stats) = analyze_tiles(&mut src, cfg).unwrap();
+    let (records, stats) = if pipelined {
+        analyze_tiles_pipelined(&mut src, cfg).unwrap()
+    } else {
+        analyze_tiles(&mut src, cfg).unwrap()
+    };
     assert_eq!(stats.components as usize, records.len());
-    assert!(stats.peak_resident_rows <= 2 * th);
+    assert!(stats.peak_resident_rows <= 2 * th + usize::from(pipelined));
+    assert_emission_order(&records, th, img.height());
     record_features(&records)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Tentpole acceptance: tile-grid analysis (count / area / bbox /
-    /// centroid / perimeter) equals whole-image AREMSP + brute-force
-    /// analysis, across tile shapes 1×1..=W×H and all generators.
+    /// Tile-grid analysis (count / area / bbox / centroid / perimeter /
+    /// holes) equals whole-image AREMSP + brute-force analysis, with ids
+    /// and emission order as the tile rows dictate — across tile shapes
+    /// 1×1..=W×H, thread counts, the synchronous and pipelined drivers
+    /// and all generators.
     #[test]
     fn grid_analysis_matches_whole_image(
         gen in 0usize..NUM_GENERATORS,
@@ -150,12 +189,17 @@ proptest! {
         h in 1usize..=18,
         tw in 1usize..=19,
         th in 1usize..=19,
+        threads in 1usize..=6,
+        pipelined in proptest::bool::ANY,
         seed in 0u64..1000,
     ) {
         let img = generator_image(gen, w, h, seed);
         let expected = whole_image_features(&img);
-        let got = tiled_features(&img, tw, th, TileGridConfig::default());
-        prop_assert_eq!(got, expected, "generator {} tiles {}x{}", gen, tw, th);
+        let got = tiled_features(&img, tw, th, TileGridConfig::parallel(threads), pipelined);
+        prop_assert_eq!(
+            got, expected,
+            "generator {} tiles {}x{} threads {} pipelined {}", gen, tw, th, threads, pipelined
+        );
     }
 
     /// The in-row PAREMSP mode is output-identical to the sequential
@@ -175,46 +219,9 @@ proptest! {
         let img = generator_image(gen, w, h, seed);
         let cfg = TileGridConfig::parallel(threads)
             .with_merger(if cas { MergerKind::Cas } else { MergerKind::Locked });
-        let seq = tiled_features(&img, tw, th, TileGridConfig::sequential());
-        let par = tiled_features(&img, tw, th, cfg);
+        let seq = tiled_features(&img, tw, th, TileGridConfig::sequential(), false);
+        let par = tiled_features(&img, tw, th, cfg, false);
         prop_assert_eq!(par, seq, "generator {} threads {}", gen, threads);
-    }
-
-    /// Tentpole acceptance: the fused fold (per-tile partial
-    /// accumulators merged at the seams) is bit-identical to the
-    /// sequential per-pixel fold — records *and* stats — across
-    /// generators, tile shapes, thread counts and the pipelined
-    /// executor.
-    #[test]
-    fn fused_fold_bit_identical_to_sequential_fold(
-        gen in 0usize..NUM_GENERATORS,
-        w in 1usize..=16,
-        h in 1usize..=16,
-        tw in 1usize..=9,
-        th in 1usize..=9,
-        threads in 1usize..=6,
-        pipelined in proptest::bool::ANY,
-        seed in 0u64..1000,
-    ) {
-        use ccl_stream::FoldMode;
-        use ccl_tiles::analyze_tiles_pipelined;
-        let img = generator_image(gen, w, h, seed);
-        let run = |fold: FoldMode| {
-            let cfg = TileGridConfig::parallel(threads).with_fold(fold);
-            let mut src = GridSource::from_image(&img, tw, th);
-            if pipelined {
-                analyze_tiles_pipelined(&mut src, cfg).unwrap()
-            } else {
-                analyze_tiles(&mut src, cfg).unwrap()
-            }
-        };
-        let (seq_records, seq_stats) = run(FoldMode::Sequential);
-        let (fused_records, fused_stats) = run(FoldMode::Fused);
-        prop_assert_eq!(
-            fused_records, seq_records,
-            "generator {} tiles {}x{} threads {} pipelined {}", gen, tw, th, threads, pipelined
-        );
-        prop_assert_eq!(fused_stats, seq_stats);
     }
 
     /// Labeled-tile output reconciles into the exact whole-image

@@ -2,7 +2,7 @@
 # local runs and CI cannot drift. `just ci` is the full gate.
 
 # Full CI gate: everything the workflow runs, in the same order.
-ci: fmt-check clippy build test doc smoke stream-smoke tiles-smoke pipeline-smoke fold-smoke bench-smoke
+ci: fmt-check clippy build test perfbench-test doc smoke stream-smoke tiles-smoke pipeline-smoke fold-smoke bench-smoke
 
 # Format the whole workspace in place.
 fmt:
@@ -23,6 +23,11 @@ build:
 # Full test suite: unit, integration, property and doc tests.
 test:
     cargo test --locked -q --workspace
+
+# The repository benchmark's own tests (its separate workspace), so a
+# public-API change that breaks the benchmark fails the gate.
+perfbench-test:
+    cargo test --locked --manifest-path perfbench/Cargo.toml
 
 # CI's rustdoc gate: every public item documented, no broken links.
 doc:
@@ -46,13 +51,14 @@ pipeline-smoke:
     cargo run --locked --release --example pipeline_prefetch
     cargo run --locked --release -p ccl-bench --bin pipeline_demo -- --reps 1 --json /tmp/BENCH_pipeline_smoke.json
 
-# Fused-vs-sequential accumulation equivalence: strip + tile analyzers,
+# Fused accumulation vs the whole-image oracle (region_properties +
+# hole count + brute-force perimeter): strip + tile analyzers,
 # synchronous + pipelined, 1 and 4 threads, records compared field by
 # field. Fast enough for every push.
 fold-smoke:
     cargo run --locked --release -p ccl-bench --bin fold_smoke
 
-# Compile all eleven criterion benches without running them.
+# Compile all ten criterion benches without running them.
 bench-smoke:
     cargo bench --locked --no-run --workspace
 
