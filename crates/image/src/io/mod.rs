@@ -59,6 +59,23 @@ pub(crate) fn next_usize(data: &[u8], pos: &mut usize) -> Result<usize, ImageErr
         .map_err(|_| ImageError::Parse(format!("invalid number {s:?}")))
 }
 
+/// `width * height * channels`, or [`ImageError::Dimensions`] when a
+/// header claims more samples than `usize` can count.
+pub(crate) fn sample_count(
+    width: usize,
+    height: usize,
+    channels: usize,
+) -> Result<usize, ImageError> {
+    width
+        .checked_mul(height)
+        .and_then(|n| n.checked_mul(channels))
+        .ok_or(ImageError::Dimensions {
+            width,
+            height,
+            buffer_len: None,
+        })
+}
+
 /// Consumes exactly one whitespace byte after a header (the Netpbm spec
 /// requires a single whitespace before binary sample data).
 pub(crate) fn expect_single_whitespace(data: &[u8], pos: &mut usize) -> Result<(), ImageError> {

@@ -6,7 +6,7 @@
 use crate::error::ImageError;
 use crate::gray::GrayImage;
 
-use super::{expect_single_whitespace, next_token, next_usize};
+use super::{expect_single_whitespace, next_token, next_usize, sample_count};
 
 /// Serializes to ASCII PGM (`P2`) with maxval 255.
 pub fn write_ascii(img: &GrayImage) -> Vec<u8> {
@@ -115,8 +115,10 @@ fn read_ascii_body(data: &[u8], pos: &mut usize) -> Result<GrayImage, ImageError
     if maxval == 0 || maxval > 65535 {
         return Err(ImageError::Parse(format!("invalid maxval {maxval}")));
     }
-    let mut pixels = Vec::with_capacity(width * height);
-    for _ in 0..width * height {
+    let n = sample_count(width, height, 1)?;
+    // At most one sample per remaining byte (see `pbm`).
+    let mut pixels = Vec::with_capacity(n.min(data.len() - *pos));
+    for _ in 0..n {
         let v = next_usize(data, pos)?;
         if v > maxval {
             return Err(ImageError::Parse(format!(
@@ -138,7 +140,7 @@ fn read_binary_body(data: &[u8], pos: &mut usize) -> Result<GrayImage, ImageErro
         )));
     }
     expect_single_whitespace(data, pos)?;
-    let need = width * height;
+    let need = sample_count(width, height, 1)?;
     if data.len() - *pos < need {
         return Err(ImageError::Parse("truncated P5 sample data".into()));
     }
@@ -203,6 +205,20 @@ mod tests {
     #[test]
     fn rejects_truncated_binary() {
         assert!(read(b"P5\n3 3\n255\n\x01\x02").is_err());
+    }
+
+    #[test]
+    fn hostile_header_is_an_error_not_an_abort() {
+        assert!(matches!(
+            read(b"P2 200000 200000 255\n"),
+            Err(ImageError::Parse(_))
+        ));
+        for data in [
+            &b"P2 4294967296 4294967296 255\n"[..],
+            b"P5 4294967296 4294967296 255\n",
+        ] {
+            assert!(matches!(read(data), Err(ImageError::Dimensions { .. })));
+        }
     }
 
     #[test]

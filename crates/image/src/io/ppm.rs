@@ -8,7 +8,7 @@
 use crate::error::ImageError;
 use crate::rgb::RgbImage;
 
-use super::{expect_single_whitespace, next_token, next_usize};
+use super::{expect_single_whitespace, next_token, next_usize, sample_count};
 
 /// Serializes to ASCII PPM (`P3`) with maxval 255.
 pub fn write_ascii(img: &RgbImage) -> Vec<u8> {
@@ -58,8 +58,10 @@ fn read_ascii_body(data: &[u8], pos: &mut usize) -> Result<RgbImage, ImageError>
     if maxval == 0 || maxval > 65535 {
         return Err(ImageError::Parse(format!("invalid maxval {maxval}")));
     }
-    let mut samples = Vec::with_capacity(width * height * 3);
-    for _ in 0..width * height * 3 {
+    let n = sample_count(width, height, 3)?;
+    // At most one sample per remaining byte (see `pbm`).
+    let mut samples = Vec::with_capacity(n.min(data.len() - *pos));
+    for _ in 0..n {
         let v = next_usize(data, pos)?;
         if v > maxval {
             return Err(ImageError::Parse(format!(
@@ -81,7 +83,7 @@ fn read_binary_body(data: &[u8], pos: &mut usize) -> Result<RgbImage, ImageError
         )));
     }
     expect_single_whitespace(data, pos)?;
-    let need = width * height * 3;
+    let need = sample_count(width, height, 3)?;
     if data.len() - *pos < need {
         return Err(ImageError::Parse("truncated P6 sample data".into()));
     }
@@ -161,6 +163,22 @@ mod tests {
     #[test]
     fn rejects_wrong_magic() {
         assert!(read(b"P2\n1 1\n255\n0\n").is_err());
+    }
+
+    #[test]
+    fn hostile_header_is_an_error_not_an_abort() {
+        // 120 GB of samples claimed by the header, none present.
+        assert!(matches!(
+            read(b"P3 200000 200000 255\n"),
+            Err(ImageError::Parse(_))
+        ));
+        // width * height fits, times 3 channels does not
+        for data in [
+            &b"P3 4294967296 2147483648 255\n"[..],
+            b"P6 4294967296 2147483648 255\n",
+        ] {
+            assert!(matches!(read(data), Err(ImageError::Dimensions { .. })));
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@
 
 use std::io::Read;
 
+use super::sample_count;
 use crate::bitmap::BinaryImage;
 use crate::error::ImageError;
 use crate::gray::GrayImage;
@@ -114,23 +115,27 @@ impl<R: Read> ByteScanner<R> {
         }
     }
 
-    /// Fills `buf` exactly from the stream.
-    fn read_exact(&mut self, buf: &mut [u8]) -> Result<(), ImageError> {
-        let mut filled = 0;
-        if let Some(b) = self.peeked.take() {
-            if !buf.is_empty() {
-                buf[0] = b;
-                filled = 1;
+    /// Appends exactly `n` bytes from the stream to `buf`. The buffer
+    /// grows as bytes arrive, so a header claiming more than the stream
+    /// holds costs no more memory than the stream itself.
+    fn read_append(&mut self, n: usize, buf: &mut Vec<u8>) -> Result<(), ImageError> {
+        let mut left = n;
+        if left > 0 {
+            if let Some(b) = self.peeked.take() {
+                buf.push(b);
+                left -= 1;
             }
         }
-        self.inner
-            .read_exact(&mut buf[filled..])
-            .map_err(|e| match e.kind() {
-                std::io::ErrorKind::UnexpectedEof => {
-                    ImageError::Parse("truncated sample data".into())
-                }
-                _ => ImageError::Io(e),
-            })
+        let got = self
+            .inner
+            .by_ref()
+            .take(left as u64)
+            .read_to_end(buf)
+            .map_err(ImageError::Io)?;
+        if got < left {
+            return Err(ImageError::Parse("truncated sample data".into()));
+        }
+        Ok(())
     }
 }
 
@@ -220,15 +225,18 @@ impl<R: Read> PbmBands<R> {
         if rows == 0 {
             return Ok(None);
         }
-        let mut pixels = vec![0u8; rows * self.width];
+        // The band buffer grows as rows decode: the header's dimensions
+        // are claims, not data.
+        let n = sample_count(self.width, rows, 1)?;
+        let mut pixels = Vec::new();
         match self.kind {
             PbmKind::Ascii => {
-                for px in pixels.iter_mut() {
+                for _ in 0..n {
                     let b = self
                         .scanner
                         .next_content_byte()?
                         .ok_or_else(|| ImageError::Parse("truncated P1 sample data".into()))?;
-                    *px = match b {
+                    pixels.push(match b {
                         b'0' => 0,
                         b'1' => 1,
                         other => {
@@ -236,17 +244,17 @@ impl<R: Read> PbmBands<R> {
                                 "invalid P1 sample byte {other:#x}"
                             )))
                         }
-                    };
+                    });
                 }
             }
             PbmKind::Binary => {
-                let bytes_per_row = self.width.div_ceil(8);
-                let mut row_bytes = vec![0u8; bytes_per_row];
-                for r in 0..rows {
-                    self.scanner.read_exact(&mut row_bytes)?;
-                    for c in 0..self.width {
-                        pixels[r * self.width + c] = (row_bytes[c / 8] >> (7 - c % 8)) & 1;
-                    }
+                let mut row_bytes = Vec::new();
+                for _ in 0..rows {
+                    row_bytes.clear();
+                    self.scanner
+                        .read_append(self.width.div_ceil(8), &mut row_bytes)?;
+                    let bits = (0..self.width).map(|c| (row_bytes[c / 8] >> (7 - c % 8)) & 1);
+                    pixels.extend(bits);
                 }
             }
         }
@@ -347,10 +355,12 @@ impl<R: Read> PgmBands<R> {
         if rows == 0 {
             return Ok(None);
         }
-        let mut pixels = vec![0u8; rows * self.width];
+        // Grows as samples decode (see `PbmBands::next_band`).
+        let n = sample_count(self.width, rows, 1)?;
+        let mut pixels = Vec::new();
         match self.kind {
             PgmKind::Ascii => {
-                for px in pixels.iter_mut() {
+                for _ in 0..n {
                     let v = self.scanner.next_usize()?;
                     if v > self.maxval {
                         return Err(ImageError::Parse(format!(
@@ -358,11 +368,11 @@ impl<R: Read> PgmBands<R> {
                             self.maxval
                         )));
                     }
-                    *px = ((v * 255 + self.maxval / 2) / self.maxval) as u8;
+                    pixels.push(((v * 255 + self.maxval / 2) / self.maxval) as u8);
                 }
             }
             PgmKind::Binary => {
-                self.scanner.read_exact(&mut pixels)?;
+                self.scanner.read_append(n, &mut pixels)?;
                 if self.maxval != 255 {
                     for v in pixels.iter_mut() {
                         *v = ((*v as usize * 255 + self.maxval / 2) / self.maxval).min(255) as u8;
@@ -480,6 +490,26 @@ mod tests {
             }
         }
         assert!(result.is_err(), "truncated stream must error");
+    }
+
+    #[test]
+    fn hostile_pbm_header_is_an_error_not_an_abort() {
+        // a 100 GB row buffer claimed by the header, no samples
+        let mut bands = PbmBands::new(&b"P4 100000000000 2\n"[..]).unwrap();
+        assert!(matches!(bands.next_band(1), Err(ImageError::Parse(_))));
+        let mut bands = PbmBands::new(&b"P1 4294967296 4294967296\n"[..]).unwrap();
+        assert!(matches!(
+            bands.next_band(usize::MAX),
+            Err(ImageError::Dimensions { .. })
+        ));
+    }
+
+    #[test]
+    fn hostile_pgm_header_is_an_error_not_an_abort() {
+        for data in [&b"P2 200000 200000 255\n"[..], b"P5 200000 200000 255\n"] {
+            let mut bands = PgmBands::new(data).unwrap();
+            assert!(matches!(bands.next_band(200000), Err(ImageError::Parse(_))));
+        }
     }
 
     #[test]

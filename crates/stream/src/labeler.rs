@@ -19,32 +19,26 @@
 //! The per-band work splits into two stages with one dependency between
 //! consecutive bands:
 //!
-//! * **scan stage** (`scan_band`) — the two-line scan + RemSP
-//!   ([`StripConfig::threads`]` == 1`) or full PAREMSP across threads
-//!   within the resident band, chunk-boundary seams included. Each scan
-//!   worker also builds the per-chunk **partial accumulator table** for
-//!   its pixels while it scans (see [`crate::analysis`]). Carried ids are
-//!   reserved by capacity (the synchronous path passes the exact
-//!   open-component count, the pipelined executor the width bound
-//!   [`carry_bound`](crate::merge::carry_bound)), so the stage never looks
-//!   at the carry row.
+//! * **scan stage** ([`scan_tile_row`]) — the band is a tile row with
+//!   one tile: two-line scan + RemSP ([`StripConfig::threads`]` == 1`)
+//!   or PAREMSP row chunks across threads, chunk-boundary seams and the
+//!   scan workers' partial accumulator tables included. Shared with the
+//!   `ccl-tiles` grid labeler.
 //! * **merge stage** ([`CarryMerge::merge`]) — the carry seam, the
-//!   per-label fold, compaction and component emission, shared with the
-//!   `ccl-tiles` grid labeler: inherently sequential, because each band's
-//!   carry feeds the next. The strip labeler only adds its own output,
-//!   the labeled strip.
-
-use std::ops::Range;
+//!   per-label fold, compaction and component emission, also shared with
+//!   the grid labeler: inherently sequential, because each band's carry
+//!   feeds the next.
+//!
+//! The strip labeler only validates the band's width and adds its own
+//! output, the labeled strip.
 
 use ccl_core::par::MergerKind;
-use ccl_core::scan::{max_labels_two_line, scan_two_line, split_spans};
 use ccl_image::BinaryImage;
-use ccl_unionfind::{EquivalenceStore, RemSP, UnionFind};
 
-use crate::analysis::{Accum, ComponentSink, LabelSink};
+use crate::analysis::{ComponentSink, LabelSink};
 use crate::error::StreamError;
-use crate::merge::{BandUf, CarryMerge, MergedRows, ScannedRows};
-use crate::parallel::scan_band_parallel;
+use crate::merge::{CarryMerge, ScannedRows};
+use crate::scan::{scan_tile_row, TileLabels};
 
 /// Configuration for [`StripLabeler`] (and, as `TileGridConfig`, for the
 /// `ccl-tiles` grid labeler).
@@ -106,98 +100,14 @@ pub struct StreamStats {
     pub peak_resident_rows: usize,
 }
 
-/// Post-scan state of one band: the band's label buffer (row-major) plus
-/// what the merge stage needs. Produced by [`scan_band`], consumed by
-/// [`StripLabeler::merge_scanned_band`]; the two called back-to-back are
-/// exactly [`StripLabeler::push_band`], while the pipelined executor
-/// ([`crate::pipeline`]) runs them on different threads, one band apart.
-pub(crate) type ScannedBand = ScannedRows<Vec<u32>>;
-
-/// The scan stage: validates the band's width, scans it with chunk-local
-/// semantics (two-line + RemSP sequentially, PAREMSP worker groups in
-/// parallel mode), merges the chunk-boundary seams, and accumulates every
-/// scan worker's partial table while the pixels are hot.
-///
-/// Everything here is independent of the carried boundary row except the
-/// size of the reserved low label slots: carried ids occupy
-/// `1..=carry_cap`, band labels start at `carry_cap + 1`. `r0` is the
-/// global row of the band's first row (partial accumulators hold global
-/// coordinates).
-pub(crate) fn scan_band(
-    band: &BinaryImage,
-    width: usize,
-    cfg: &StripConfig,
-    carry_cap: u32,
-    r0: usize,
-) -> Result<ScannedBand, StreamError> {
-    if band.width() != width {
-        return Err(StreamError::WidthMismatch {
+/// Rejects a band whose width differs from the stream's.
+pub(crate) fn check_width(band: &BinaryImage, width: usize) -> Result<(), StreamError> {
+    match band.width() {
+        got if got != width => Err(StreamError::WidthMismatch {
             expected: width,
-            got: band.width(),
-        });
-    }
-    let (w, h) = (width, band.height());
-    if h == 0 || w == 0 {
-        return Ok(ScannedRows::empty(h));
-    }
-    let (labels, uf, partials, used) = if cfg.threads <= 1 {
-        let mut store = RemSP::with_capacity(1 + carry_cap as usize + max_labels_two_line(h, w));
-        for id in 0..=carry_cap {
-            store.new_label(id);
-        }
-        let mut labels = vec![0u32; h * w];
-        let next = scan_two_line(band, 0..h, &mut labels, &mut store, carry_cap + 1);
-        let mut parts = vec![Accum::EMPTY; next as usize];
-        accumulate_chunk(band, &labels, 0..h, r0, 0, &mut parts);
-        let used = std::iter::once(carry_cap + 1..next).collect();
-        (labels, BandUf::Seq(store), parts, used)
-    } else {
-        let (labels, parents, parts, used) = scan_band_parallel(band, r0, carry_cap, cfg);
-        (labels, BandUf::Par(parents), parts, used)
-    };
-    Ok(ScannedRows {
-        h,
-        top: labels[..w].to_vec(),
-        last: labels[(h - 1) * w..].to_vec(),
-        labels,
-        uf,
-        partials,
-        used,
-    })
-}
-
-/// Accumulates one scan worker's partial table: every foreground pixel
-/// of band rows `rows` (the worker's chunk) folds its single-pixel
-/// accumulator into `parts[label - base]`. Neighbour probes read the raw
-/// band pixels — rows above the chunk included — so the result never
-/// depends on another chunk's label buffer, which may not exist yet. The
-/// band's global first row is always skipped: its upper neighbours are
-/// the carry row, which the merge stage absorbs in O(width).
-pub(crate) fn accumulate_chunk(
-    band: &BinaryImage,
-    chunk_labels: &[u32],
-    rows: Range<usize>,
-    r0: usize,
-    base: u32,
-    parts: &mut [Accum],
-) {
-    let w = band.width();
-    for br in rows.start.max(1)..rows.end {
-        let lr = br - rows.start;
-        let row_labels = &chunk_labels[lr * w..(lr + 1) * w];
-        let cur = band.row(br);
-        let up = band.row(br - 1);
-        for c in 0..w {
-            let l = row_labels[c];
-            if l == 0 {
-                continue;
-            }
-            let west = c > 0 && cur[c - 1] == 1;
-            let nw = c > 0 && up[c - 1] == 1;
-            let north = up[c] == 1;
-            let ne = c + 1 < w && up[c + 1] == 1;
-            parts[(l - base) as usize].absorb(r0 + br, c, west, nw, north, ne);
-        }
+            got,
+        }),
+        _ => Ok(()),
     }
 }
 
@@ -300,17 +210,26 @@ impl StripLabeler {
         strips: Option<&mut dyn LabelSink>,
     ) -> Result<(), StreamError> {
         let m = &self.merge;
+        check_width(band, m.width())?;
         let carry_cap = m.open_components() as u32;
-        let scanned = scan_band(band, m.width(), m.config(), carry_cap, m.rows_done())?;
+        let scanned = scan_tile_row(
+            std::slice::from_ref(band),
+            m.config(),
+            carry_cap,
+            m.rows_done(),
+        );
         self.merge_scanned_band(scanned, components, strips);
         Ok(())
     }
 
     /// The merge stage ([`CarryMerge::merge`]) plus the labeled strip.
-    /// Counterpart of [`scan_band`].
+    /// Counterpart of [`scan_tile_row`]; the two called back-to-back are
+    /// exactly [`Self::push_band`], while the pipelined executor
+    /// ([`crate::pipeline`]) runs them on different threads, one band
+    /// apart.
     pub(crate) fn merge_scanned_band(
         &mut self,
-        band: ScannedBand,
+        band: ScannedRows<TileLabels>,
         components: &mut dyn ComponentSink,
         strips: Option<&mut dyn LabelSink>,
     ) {
@@ -319,36 +238,10 @@ impl StripLabeler {
             for &(kept, absorbed) in &out.merges {
                 sink.merge(kept, absorbed);
             }
-            let gids = strip_gids(&out, self.merge.config().threads);
+            let gids = out.gids(&out.labels.bufs[0], self.merge.config().threads);
             sink.strip(out.first_row, self.merge.width(), &gids);
         }
     }
-}
-
-/// A merged band's labels as stream ids, filled over element spans
-/// across `threads` workers.
-fn strip_gids(out: &MergedRows<Vec<u32>>, threads: usize) -> Vec<u64> {
-    let mut gids = vec![0u64; out.labels.len()];
-    let fill = |span: Range<usize>, dst: &mut [u64]| {
-        for (g, &l) in dst.iter_mut().zip(&out.labels[span]) {
-            if l != 0 {
-                *g = out.gid(l);
-            }
-        }
-    };
-    if threads <= 1 {
-        fill(0..gids.len(), &mut gids);
-        return gids;
-    }
-    rayon::scope(|s| {
-        let mut rest: &mut [u64] = &mut gids;
-        for span in split_spans(out.labels.len(), threads) {
-            let (mine, tail) = rest.split_at_mut(span.len());
-            rest = tail;
-            s.spawn(move |_| fill(span, mine));
-        }
-    });
-    gids
 }
 
 #[cfg(test)]

@@ -22,9 +22,10 @@
 //!   (sequential) or full PAREMSP across threads within the resident
 //!   band ([`StripConfig::parallel`]), one carried boundary row per
 //!   seam, and label-slot recycling so closed components cost nothing;
-//! * [`merge`] — the carry-merge stage every band (and every `ccl-tiles`
-//!   tile row) goes through after its scan, and [`pipeline`] — the one
-//!   scan ∥ merge executor both engines' `*_pipelined` drivers run on;
+//! * [`scan`] and [`merge`] — the scan stage and the carry-merge stage
+//!   every band (a tile row with one tile) and every `ccl-tiles` tile row
+//!   goes through, and [`pipeline`] — the one scan ∥ merge executor both
+//!   engines' `*_pipelined` drivers run on;
 //! * [`ComponentRecord`] / [`ComponentSink`] — per-component area,
 //!   bounding box, centroid, raster anchor, 4-neighbourhood perimeter
 //!   and Euler-characteristic hole count, emitted the moment a
@@ -58,8 +59,8 @@ pub mod generators;
 pub mod labeler;
 pub mod merge;
 pub mod netpbm;
-mod parallel;
 pub mod pipeline;
+pub mod scan;
 pub mod source;
 
 pub use analysis::{

@@ -22,9 +22,9 @@
 //!    workers in parallel mode);
 //! 6. emits every closed component, ascending id.
 //!
-//! What stays with the caller is the scan and its own label output —
-//! strips for the strip labeler, per-tile buffers for the grid labeler —
-//! both resolved through [`MergedRows::gid`].
+//! The scan before it is [`crate::scan`]; what stays with the caller is
+//! its own label output — strips for the strip labeler, per-tile buffers
+//! for the grid labeler — both resolved through [`MergedRows::gid`].
 //!
 //! Output never depends on the mode: the bookkeeping only sees
 //! set-minimum roots, which RemSP and the concurrent mergers agree on, and
@@ -33,13 +33,14 @@
 
 use std::ops::Range;
 
-use ccl_core::scan::{merge_seam, split_spans, Foldable as _, FoldingStore};
+use ccl_core::par::MergerStore;
+use ccl_core::scan::{merge_seam, merge_seam_span, split_spans, Foldable as _, FoldingStore};
 use ccl_unionfind::par::ConcurrentParents;
 use ccl_unionfind::{RemSP, UnionFind};
 
 use crate::analysis::{Accum, ComponentSink};
 use crate::labeler::{StreamStats, StripConfig};
-use crate::parallel::carry_seam_parallel;
+use crate::scan::Merger;
 
 /// Post-scan view of one band's equivalences: sequential RemSP or the
 /// parallel shared parent array. Both are Rem-family (parents ≤
@@ -110,6 +111,27 @@ fn fold_onto_roots(
             acc[root as usize].fold(&p);
         }
     }
+}
+
+/// Merges the carry seam in column spans across the configured workers
+/// (the paper's phase 3, run here because it needs the carry row). A
+/// span's diagonal probes read the full carry row ([`merge_seam_span`]),
+/// so the partition merges exactly the same pairs as one whole-row call.
+fn carry_seam_parallel(carry: &[u32], top: &[u32], parents: &ConcurrentParents, cfg: &StripConfig) {
+    let merger = Merger::new(cfg);
+    let spans = split_spans(carry.len(), cfg.threads);
+    if spans.len() <= 1 {
+        merge_seam(carry, top, &mut MergerStore::new(parents, &merger));
+        return;
+    }
+    rayon::scope(|s| {
+        for span in spans {
+            let merger = &merger;
+            s.spawn(move |_| {
+                merge_seam_span(carry, top, span, &mut MergerStore::new(parents, merger));
+            });
+        }
+    });
 }
 
 /// Carried-id slots a scan must reserve to run before the previous
@@ -191,6 +213,35 @@ impl<L> MergedRows<L> {
     #[inline]
     pub fn gid(&self, label: u32) -> u64 {
         self.acc[self.root_of[label as usize] as usize].gid
+    }
+
+    /// A label buffer of this band as stream ids (0 stays background),
+    /// filled over element spans across `threads` workers.
+    pub fn gids(&self, labels: &[u32], threads: usize) -> Vec<u64>
+    where
+        L: Sync,
+    {
+        let mut gids = vec![0u64; labels.len()];
+        let fill = |span: Range<usize>, dst: &mut [u64]| {
+            for (g, &l) in dst.iter_mut().zip(&labels[span]) {
+                if l != 0 {
+                    *g = self.gid(l);
+                }
+            }
+        };
+        if threads <= 1 {
+            fill(0..gids.len(), &mut gids);
+            return gids;
+        }
+        rayon::scope(|s| {
+            let mut rest: &mut [u64] = &mut gids;
+            for span in split_spans(labels.len(), threads) {
+                let (mine, tail) = rest.split_at_mut(span.len());
+                rest = tail;
+                s.spawn(move |_| fill(span, mine));
+            }
+        });
+        gids
     }
 }
 

@@ -33,8 +33,9 @@ use std::sync::mpsc;
 
 use crate::analysis::{ComponentSink, LabelSink};
 use crate::error::StreamError;
-use crate::labeler::{scan_band, StreamStats, StripConfig, StripLabeler};
+use crate::labeler::{check_width, StreamStats, StripConfig, StripLabeler};
 use crate::merge::{carry_bound, ScannedRows};
+use crate::scan::scan_tile_row;
 use crate::source::RowSource;
 
 /// Runs `scan` on a worker thread and `merge` on the caller's, one band
@@ -119,7 +120,8 @@ where
             let Some(band) = source.next_band(band_rows)? else {
                 return Ok(None);
             };
-            let scanned = scan_band(&band, width, &cfg, carry_cap, r0)?;
+            check_width(&band, width)?;
+            let scanned = scan_tile_row(std::slice::from_ref(&band), &cfg, carry_cap, r0);
             r0 += band.height();
             Ok(Some(scanned))
         },

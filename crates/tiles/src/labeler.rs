@@ -1,43 +1,36 @@
 //! [`TileGridLabeler`] — the bounded-memory 2-D tile-grid engine.
 //!
 //! PAREMSP's chunk-scan + boundary-merge structure generalizes from row
-//! bands to a full tile grid: every tile of a **tile row** is scanned
-//! independently (RemSP inside the tile, with disjoint provisional-label
-//! ranges), then connectivity is restored along both seam orientations —
+//! bands to a full tile grid. Every tile row goes through the two stages
+//! `ccl-stream` shares between strips and tiles:
 //!
-//! * **vertical seams** between horizontally adjacent tiles, walked as
-//!   strided columns ([`merge_seam_strided`]) directly over the per-tile
-//!   label buffers, no transpose and no stitched full-width buffer;
-//! * the **horizontal seam** against the carried last pixel row of the
-//!   previous tile row — `ccl-stream`'s carry-merge stage
-//!   ([`ccl_stream::merge`]), the same code the strip labeler runs.
+//! * the **scan stage** ([`scan_tile_row`]) — every tile scanned
+//!   independently with disjoint provisional-label ranges (tiles cut into
+//!   row chunks when there are fewer tiles than threads), the vertical
+//!   seams between adjacent tiles merged as strided columns directly over
+//!   the per-tile label buffers, and the partial accumulator tables built
+//!   by the scan workers;
+//! * the **merge stage** ([`ccl_stream::merge`]) — the horizontal seam
+//!   against the carried last pixel row of the previous tile row, the
+//!   fold, compaction and component emission.
 //!
-//! In parallel mode the tiles of the resident row are scanned by
-//! `threads` workers and the vertical seams merge concurrently with the
-//! configured MERGER (Algorithm 8 or its CAS variant) — PAREMSP across
-//! the tile row. After each row the label space is compacted to the
-//! components still *open* on the carry boundary and every retired slot
-//! is recycled, so resident state is
+//! After each row the label space is compacted to the components still
+//! *open* on the carry boundary and every retired slot is recycled, so
+//! resident state is
 //!
 //! * one tile row of pixels and labels,
 //! * one carry row (`width` labels),
-//! * one [`Accum`] per open component,
+//! * one [`Accum`](ccl_stream::Accum) per open component,
 //!
 //! i.e. **at most two tile rows** of pixel-equivalent memory, independent
 //! of image height — and independent of image *width* mattering only
 //! linearly (the carry row), never quadratically. The grid labeler keeps
-//! only the tile scan and its own output, the per-tile id buffers.
+//! only the shape validation and its own output, the per-tile id buffers.
 
-use std::ops::Range;
-
-use ccl_core::par::{MergerKind, MergerStore};
-use ccl_core::scan::{max_labels_two_line, merge_seam_strided, scan_two_line, split_spans};
 use ccl_image::BinaryImage;
-use ccl_stream::analysis::Accum;
-use ccl_stream::merge::{BandUf, CarryMerge, ScannedRows};
+use ccl_stream::merge::{CarryMerge, ScannedRows};
+use ccl_stream::scan::{scan_tile_row, TileLabels};
 use ccl_stream::{ComponentSink, StreamStats, StripConfig};
-use ccl_unionfind::par::{CasMerger, ConcurrentMerger, ConcurrentParents, LockedMerger};
-use ccl_unionfind::{EquivalenceStore, RemSP, UnionFind};
 
 use crate::error::TilesError;
 use crate::sink::{TileMeta, TileSink};
@@ -191,8 +184,9 @@ impl TileGridLabeler {
         sink: Option<&mut dyn TileSink>,
     ) -> Result<(), TilesError> {
         let m = &self.merge;
+        check_tile_row(tiles, m.width())?;
         let carry_cap = m.open_components() as u32;
-        let row = scan_tile_row(tiles, m.width(), m.config(), carry_cap, m.rows_done())?;
+        let row = scan_tile_row(tiles, m.config(), carry_cap, m.rows_done());
         self.merge_scanned(row, components, sink)
     }
 
@@ -203,7 +197,7 @@ impl TileGridLabeler {
     /// apart.
     pub(crate) fn merge_scanned(
         &mut self,
-        row: ScannedTileRow,
+        row: ScannedRows<TileLabels>,
         components: &mut dyn ComponentSink,
         sink: Option<&mut dyn TileSink>,
     ) -> Result<(), TilesError> {
@@ -217,10 +211,7 @@ impl TileGridLabeler {
         }
         let TileLabels { widths, x0s, bufs } = &out.labels;
         for (t, buf) in bufs.iter().enumerate() {
-            let gids: Vec<u64> = buf
-                .iter()
-                .map(|&l| if l == 0 { 0 } else { out.gid(l) })
-                .collect();
+            let gids = out.gids(buf, self.merge.config().threads);
             let meta = TileMeta {
                 tile_row: out.index,
                 tile_col: t,
@@ -235,95 +226,9 @@ impl TileGridLabeler {
     }
 }
 
-/// One tile row's labels: per-tile buffers (row-major within each tile),
-/// left to right.
-#[derive(Default)]
-pub(crate) struct TileLabels {
-    /// Per-tile widths.
-    widths: Vec<usize>,
-    /// Per-tile global column offsets.
-    x0s: Vec<usize>,
-    /// Per-tile label buffers.
-    bufs: Vec<Vec<u32>>,
-}
-
-/// Post-scan state of one tile row, vertical seams merged. Produced by
-/// [`scan_tile_row`], consumed by [`TileGridLabeler::merge_scanned`].
-pub(crate) type ScannedTileRow = ScannedRows<TileLabels>;
-
-/// Accumulates one tile's partial table: every foreground pixel of the
-/// tile's rows `1..th` folds its single-pixel accumulator into
-/// `parts[label - base]`. Neighbour probes read the raw tile pixels —
-/// the adjacent tiles' edge columns included — so the result never
-/// depends on another tile's label buffer, which may not exist yet. The
-/// row's global first line is always skipped: its upper neighbours are
-/// the carry row, which the merge stage absorbs in O(width).
-#[allow(clippy::too_many_arguments)]
-fn accumulate_tile(
-    tiles: &[BinaryImage],
-    t: usize,
-    buf: &[u32],
-    th: usize,
-    r0: usize,
-    x0: usize,
-    base: u32,
-    parts: &mut [Accum],
-) {
-    let tile = &tiles[t];
-    let tw = tile.width();
-    let left = (t > 0).then(|| &tiles[t - 1]).filter(|l| l.width() > 0);
-    let right = tiles.get(t + 1).filter(|r| r.width() > 0);
-    for r in 1..th {
-        let row_base = r * tw;
-        let cur = tile.row(r);
-        let up = tile.row(r - 1);
-        for c in 0..tw {
-            let l = buf[row_base + c];
-            if l == 0 {
-                continue;
-            }
-            let west = if c > 0 {
-                cur[c - 1] == 1
-            } else {
-                left.is_some_and(|lt| lt.row(r)[lt.width() - 1] == 1)
-            };
-            let nw = if c > 0 {
-                up[c - 1] == 1
-            } else {
-                left.is_some_and(|lt| lt.row(r - 1)[lt.width() - 1] == 1)
-            };
-            let north = up[c] == 1;
-            let ne = if c + 1 < tw {
-                up[c + 1] == 1
-            } else {
-                right.is_some_and(|rt| rt.row(r - 1)[0] == 1)
-            };
-            parts[(l - base) as usize].absorb(r0 + r, x0 + c, west, nw, north, ne);
-        }
-    }
-}
-
-/// The scan stage: validates a tile row's shape, scans every tile with
-/// chunk-local semantics (RemSP sequentially, PAREMSP worker groups in
-/// parallel mode), merges the vertical seams between adjacent tiles, and
-/// accumulates every tile's partial table while the pixels are hot
-/// ([`accumulate_tile`]).
-///
-/// Everything here is independent of the carried boundary row — the one
-/// dependency between consecutive tile rows — except for the size of the
-/// reserved low label slots: carried ids occupy `1..=carry_cap`, tile
-/// labels start at `carry_cap + 1`. The synchronous path passes the
-/// exact open-component count; the pipelined executor passes the width
-/// bound [`carry_bound`](ccl_stream::merge::carry_bound). `r0` is the
-/// global row of the tile row's first line (partial accumulators hold
-/// global coordinates).
-pub(crate) fn scan_tile_row(
-    tiles: &[BinaryImage],
-    width: usize,
-    cfg: &TileGridConfig,
-    carry_cap: u32,
-    r0: usize,
-) -> Result<ScannedTileRow, TilesError> {
+/// Rejects a tile row whose widths do not sum to the grid width or
+/// whose heights disagree.
+pub(crate) fn check_tile_row(tiles: &[BinaryImage], width: usize) -> Result<(), TilesError> {
     let total: usize = tiles.iter().map(BinaryImage::width).sum();
     if total != width {
         return Err(TilesError::WidthMismatch {
@@ -331,215 +236,20 @@ pub(crate) fn scan_tile_row(
             got: total,
         });
     }
-    let th = tiles.first().map_or(0, |t| t.height());
-    if let Some(bad) = tiles.iter().find(|t| t.height() != th) {
-        return Err(TilesError::RaggedTileRow {
+    let th = tiles.first().map_or(0, BinaryImage::height);
+    match tiles.iter().find(|t| t.height() != th) {
+        Some(bad) => Err(TilesError::RaggedTileRow {
             expected: th,
             got: bad.height(),
-        });
+        }),
+        None => Ok(()),
     }
-    if th == 0 || width == 0 {
-        return Ok(ScannedRows::empty(th));
-    }
-    let widths: Vec<usize> = tiles.iter().map(BinaryImage::width).collect();
-    let mut x0s = Vec::with_capacity(tiles.len());
-    let mut x0 = 0usize;
-    for &tw in &widths {
-        x0s.push(x0);
-        x0 += tw;
-    }
-
-    let (bufs, uf, partials, used) = if cfg.threads <= 1 {
-        let capacity: usize = widths
-            .iter()
-            .map(|&tw| max_labels_two_line(th, tw))
-            .sum::<usize>()
-            + 1
-            + carry_cap as usize;
-        let mut store = RemSP::with_capacity(capacity);
-        for id in 0..=carry_cap {
-            store.new_label(id);
-        }
-        let mut bufs: Vec<Vec<u32>> = widths.iter().map(|&tw| vec![0u32; tw * th]).collect();
-        let mut partials = vec![Accum::EMPTY; capacity];
-        let mut next = carry_cap + 1;
-        for (t, buf) in bufs.iter_mut().enumerate() {
-            next = scan_two_line(&tiles[t], 0..th, buf, &mut store, next);
-            accumulate_tile(tiles, t, buf, th, r0, x0s[t], 0, &mut partials);
-        }
-        partials.truncate(next as usize);
-        for t in 1..tiles.len() {
-            let lw = widths[t - 1];
-            merge_seam_strided(
-                &bufs[t - 1][lw - 1..],
-                lw,
-                &bufs[t],
-                widths[t],
-                th,
-                &mut store,
-            );
-        }
-        let used = std::iter::once(carry_cap + 1..next).collect();
-        (bufs, BandUf::Seq(store), partials, used)
-    } else {
-        let (bufs, parents, partials, used) = match cfg.merger {
-            MergerKind::Locked => {
-                let merger = match cfg.lock_stripes {
-                    Some(s) => LockedMerger::with_stripes(s),
-                    None => LockedMerger::new(),
-                };
-                scan_tile_row_parallel(tiles, &widths, &x0s, th, carry_cap, cfg, r0, &merger)
-            }
-            MergerKind::Cas => scan_tile_row_parallel(
-                tiles,
-                &widths,
-                &x0s,
-                th,
-                carry_cap,
-                cfg,
-                r0,
-                &CasMerger::new(),
-            ),
-        };
-        (bufs, BandUf::Par(parents), partials, used)
-    };
-    Ok(ScannedRows {
-        h: th,
-        top: assemble_row(&bufs, &widths, 0, width),
-        last: assemble_row(&bufs, &widths, th - 1, width),
-        labels: TileLabels { widths, x0s, bufs },
-        uf,
-        partials,
-        used,
-    })
-}
-
-/// Copies local row `r` of every tile buffer into one `width`-long row.
-fn assemble_row(bufs: &[Vec<u32>], widths: &[usize], r: usize, width: usize) -> Vec<u32> {
-    let mut row = Vec::with_capacity(width);
-    for (buf, &tw) in bufs.iter().zip(widths) {
-        row.extend_from_slice(&buf[r * tw..(r + 1) * tw]);
-    }
-    debug_assert_eq!(row.len(), width);
-    row
-}
-
-/// Scan-stage output of the parallel tile-row path: per-tile label
-/// buffers, the shared parent array, the partial table (label-indexed)
-/// and the used label ranges.
-type ParallelTileScan = (
-    Vec<Vec<u32>>,
-    ConcurrentParents,
-    Vec<Accum>,
-    Vec<Range<u32>>,
-);
-
-/// Parallel tile-row scan: tiles are grouped into at most `threads`
-/// contiguous runs scanned concurrently with disjoint provisional-label
-/// ranges, then the vertical seams merge concurrently with the configured
-/// MERGER. Every worker also accumulates its tiles' partial [`Accum`]
-/// tables (contention-free: partials live in the tile's own label range;
-/// neighbour probes read raw pixels, never another worker's labels). The
-/// horizontal carry seam is the merge stage's job.
-#[allow(clippy::too_many_arguments)]
-fn scan_tile_row_parallel<M: ConcurrentMerger>(
-    tiles: &[BinaryImage],
-    widths: &[usize],
-    x0s: &[usize],
-    th: usize,
-    carry_cap: u32,
-    cfg: &TileGridConfig,
-    r0: usize,
-    merger: &M,
-) -> ParallelTileScan {
-    let ntiles = tiles.len();
-    let threads = cfg.threads.max(1);
-    // disjoint label ranges, one per tile
-    let mut offsets = Vec::with_capacity(ntiles);
-    let mut next = carry_cap + 1;
-    for &tw in widths {
-        offsets.push(next);
-        next += max_labels_two_line(th, tw) as u32;
-    }
-    let parents = ConcurrentParents::new(next as usize);
-    {
-        let mut store = parents.chunk_store();
-        for id in 1..=carry_cap {
-            store.new_label(id);
-        }
-    }
-    let mut bufs: Vec<Vec<u32>> = widths.iter().map(|&tw| vec![0u32; tw * th]).collect();
-    let mut partials = vec![Accum::EMPTY; next as usize];
-    let mut nexts: Vec<u32> = offsets.clone();
-
-    // Phase 1: per-tile scans, grouped into contiguous runs of tiles
-    // (contention-free: disjoint ranges, one ChunkStore per group), each
-    // tile's partial table accumulated in the same worker, right after
-    // its scan, while the pixels are hot.
-    rayon::scope(|s| {
-        let mut rest: &mut [Vec<u32>] = &mut bufs;
-        let mut rest_next: &mut [u32] = &mut nexts;
-        let mut rest_parts: &mut [Accum] = &mut partials[(carry_cap as usize + 1)..];
-        for group in split_spans(ntiles, threads) {
-            let (mine, tail) = rest.split_at_mut(group.len());
-            rest = tail;
-            let (my_nexts, ntail) = rest_next.split_at_mut(group.len());
-            rest_next = ntail;
-            let group_caps: usize = group
-                .clone()
-                .map(|t| max_labels_two_line(th, widths[t]))
-                .sum();
-            let (my_parts, ptail) = rest_parts.split_at_mut(group_caps);
-            rest_parts = ptail;
-            let parents = &parents;
-            let offsets = &offsets;
-            s.spawn(move |_| {
-                let mut store = parents.chunk_store();
-                let mut parts_rest = my_parts;
-                for ((t, buf), next_out) in group.zip(mine).zip(my_nexts) {
-                    *next_out = scan_two_line(&tiles[t], 0..th, buf, &mut store, offsets[t]);
-                    let cap = max_labels_two_line(th, widths[t]);
-                    let (tile_parts, tail) = parts_rest.split_at_mut(cap);
-                    parts_rest = tail;
-                    accumulate_tile(tiles, t, buf, th, r0, x0s[t], offsets[t], tile_parts);
-                }
-            });
-        }
-    });
-
-    // Phase 2: vertical seams between adjacent tiles, concurrently with
-    // the shared merger (each boundary reads two finished tile buffers).
-    if ntiles > 1 {
-        let bufs_ref = &bufs;
-        rayon::scope(|s| {
-            for group in split_spans(ntiles - 1, threads) {
-                let parents = &parents;
-                s.spawn(move |_| {
-                    let mut store = MergerStore::new(parents, merger);
-                    // boundary i sits between tiles i and i + 1
-                    for t in group.start + 1..group.end + 1 {
-                        let lw = widths[t - 1];
-                        merge_seam_strided(
-                            &bufs_ref[t - 1][lw - 1..],
-                            lw,
-                            &bufs_ref[t],
-                            widths[t],
-                            th,
-                            &mut store,
-                        );
-                    }
-                });
-            }
-        });
-    }
-
-    let used = offsets.iter().zip(&nexts).map(|(&o, &n)| o..n).collect();
-    (bufs, parents, partials, used)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccl_core::par::MergerKind;
     use ccl_stream::{ComponentRecord, CountComponents};
 
     /// Tiles `img` into `tile_w × tile_h` tiles and runs the grid labeler.
@@ -650,13 +360,17 @@ mod tests {
             (state >> 40) & 1 == 1
         };
         let img = BinaryImage::from_fn(37, 29, |_, _| rnd());
-        let (seq, seq_stats) = run_tiled(&img, 7, 5, TileGridConfig::sequential());
-        for threads in [2, 3, 8] {
-            for merger in MergerKind::ALL {
-                let cfg = TileGridConfig::parallel(threads).with_merger(merger);
-                let (par, par_stats) = run_tiled(&img, 7, 5, cfg);
-                assert_eq!(par, seq, "{threads} threads, {merger}");
-                assert_eq!(par_stats, seq_stats);
+        // 7-wide tiles (6 per row) are cut into row chunks only at 8
+        // threads; one 37-wide tile column is cut from 2 threads on.
+        for tw in [7, 37] {
+            let (seq, seq_stats) = run_tiled(&img, tw, 5, TileGridConfig::sequential());
+            for threads in [2, 3, 8] {
+                for merger in MergerKind::ALL {
+                    let cfg = TileGridConfig::parallel(threads).with_merger(merger);
+                    let (par, par_stats) = run_tiled(&img, tw, 5, cfg);
+                    assert_eq!(par, seq, "{tw}x5 tiles, {threads} threads, {merger}");
+                    assert_eq!(par_stats, seq_stats);
+                }
             }
         }
     }

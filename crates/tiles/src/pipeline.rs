@@ -2,24 +2,25 @@
 //! *k + 1*'s scans, on `ccl-stream`'s scan ∥ merge executor
 //! ([`ccl_stream::pipeline::run_scan_merge`]).
 //!
-//! The scan stage pulls the next tile row from the source, scans every
-//! tile and merges the vertical seams (`scan_tile_row`), reserving
-//! carried ids by the width bound so it never waits for the previous
-//! row. The merge stage runs the horizontal carry seam, fold, compaction
-//! and component emission, then (optionally) spills the labeled tiles
-//! (`TileGridLabeler::merge_scanned`). At most two tile rows are alive
-//! plus the carried boundary row: the pipelined residency bound
-//! `2 × tile_height + 1` pixel rows, reported through
+//! The scan stage pulls the next tile row from the source, validates its
+//! shape and runs `ccl-stream`'s scan stage ([`scan_tile_row`]),
+//! reserving carried ids by the width bound so it never waits for the
+//! previous row. The merge stage runs the horizontal carry seam, fold,
+//! compaction and component emission, then (optionally) spills the
+//! labeled tiles (`TileGridLabeler::merge_scanned`). At most two tile
+//! rows are alive plus the carried boundary row: the pipelined residency
+//! bound `2 × tile_height + 1` pixel rows, reported through
 //! [`TileGridStats::peak_resident_rows`]. A failing source, scan or sink
 //! surfaces as its own error; a panicking source as
 //! [`TilesError::Worker`].
 
 use ccl_stream::merge::carry_bound;
 use ccl_stream::pipeline::run_scan_merge;
+use ccl_stream::scan::scan_tile_row;
 use ccl_stream::ComponentSink;
 
 use crate::error::TilesError;
-use crate::labeler::{scan_tile_row, TileGridConfig, TileGridLabeler, TileGridStats};
+use crate::labeler::{check_tile_row, TileGridConfig, TileGridLabeler, TileGridStats};
 use crate::sink::TileSink;
 use crate::source::TileSource;
 
@@ -46,7 +47,8 @@ where
             let Some(tiles) = source.next_tile_row()? else {
                 return Ok(None);
             };
-            let row = scan_tile_row(&tiles, width, &cfg, carry_cap, r0)?;
+            check_tile_row(&tiles, width)?;
+            let row = scan_tile_row(&tiles, &cfg, carry_cap, r0);
             r0 += row.h;
             Ok(Some(row))
         },

@@ -18,10 +18,13 @@ use ccl_datasets::synth::shapes::{shape_scene, text_page};
 use ccl_datasets::synth::stream::bernoulli_stream;
 use ccl_datasets::synth::texture::{checkerboard, grating, rings, stripes};
 use ccl_image::BinaryImage;
-use ccl_stream::ComponentRecord;
+use ccl_stream::{
+    analyze_stream, analyze_stream_pipelined, stream_to_label_image,
+    stream_to_label_image_pipelined, ComponentRecord, MemorySource, StripConfig,
+};
 use ccl_tiles::{
     analyze_tiles, analyze_tiles_pipelined, read_spilled_label_image, spill_tiles, temp_spill_dir,
-    tiles_to_label_image, GridSource, SpillFormat, TileGridConfig,
+    tiles_to_label_image, tiles_to_label_image_pipelined, GridSource, SpillFormat, TileGridConfig,
 };
 
 /// One image per synthetic generator family (mirrors the `ccl-stream`
@@ -222,6 +225,53 @@ proptest! {
         let seq = tiled_features(&img, tw, th, TileGridConfig::sequential(), false);
         let par = tiled_features(&img, tw, th, cfg, false);
         prop_assert_eq!(par, seq, "generator {} threads {}", gen, threads);
+    }
+
+    /// A strip is a one-column grid: strip bands of height `band` and
+    /// image-wide tiles of height `band` give the same records, the same
+    /// stats and the same label image — identical, not just equivalent —
+    /// for every thread count, synchronous and pipelined.
+    #[test]
+    fn strip_is_a_one_column_grid(
+        gen in 0usize..NUM_GENERATORS,
+        w in 1usize..=18,
+        h in 1usize..=18,
+        band in 1usize..=19,
+        threads in 1usize..=6,
+        pipelined in proptest::bool::ANY,
+        seed in 0u64..1000,
+    ) {
+        let img = generator_image(gen, w, h, seed);
+        let cfg = StripConfig::parallel(threads);
+        let strip = || MemorySource::new(&img);
+        let grid = || GridSource::from_image(&img, img.width(), band);
+        let ((strip_recs, strip_stats), (strip_li, strip_li_stats)) = if pipelined {
+            (
+                analyze_stream_pipelined(&mut strip(), band, cfg.clone()).unwrap(),
+                stream_to_label_image_pipelined(&mut strip(), band, cfg.clone()).unwrap(),
+            )
+        } else {
+            (
+                analyze_stream(&mut strip(), band, cfg.clone()).unwrap(),
+                stream_to_label_image(&mut strip(), band, cfg.clone()).unwrap(),
+            )
+        };
+        let ((grid_recs, grid_stats), (grid_li, grid_li_stats)) = if pipelined {
+            (
+                analyze_tiles_pipelined(&mut grid(), cfg.clone()).unwrap(),
+                tiles_to_label_image_pipelined(&mut grid(), cfg).unwrap(),
+            )
+        } else {
+            (
+                analyze_tiles(&mut grid(), cfg.clone()).unwrap(),
+                tiles_to_label_image(&mut grid(), cfg).unwrap(),
+            )
+        };
+        let ctx = format!("generator {gen} band {band} threads {threads} pipelined {pipelined}");
+        prop_assert_eq!(&grid_recs, &strip_recs, "{}", ctx);
+        prop_assert_eq!(grid_stats.as_stream_stats(), strip_stats, "{}", ctx);
+        prop_assert_eq!(grid_li_stats.as_stream_stats(), strip_li_stats, "{}", ctx);
+        prop_assert_eq!(grid_li, strip_li, "{}", ctx);
     }
 
     /// Labeled-tile output reconciles into the exact whole-image

@@ -2,7 +2,7 @@
 # local runs and CI cannot drift. `just ci` is the full gate.
 
 # Full CI gate: everything the workflow runs, in the same order.
-ci: fmt-check clippy build test perfbench-test doc smoke stream-smoke tiles-smoke pipeline-smoke fold-smoke bench-smoke
+ci: fmt-check clippy build test perfbench-test doc smoke stream-smoke tiles-smoke pipeline-smoke fold-smoke stress bench-smoke
 
 # Format the whole workspace in place.
 fmt:
@@ -71,19 +71,23 @@ bench:
 repro:
     cargo run --release -p ccl-bench --bin repro_all
 
+# The three full-scale acceptance runs (~80 s in release): the
+# residency bounds and whole-image equivalence of the out-of-core stack.
+stress: stream-stress tiles-stress pipeline-stress
+
 # Full-scale streaming acceptance run: 268 Mpixel in 1024-row bands,
 # analysis identical to whole-image AREMSP, <= 2 bands resident.
 stream-stress:
-    cargo test --release -p ccl-stream --test stream_equivalence -- --ignored
+    cargo test --locked --release -p ccl-stream --test stream_equivalence -- --ignored
 
 # Full-scale tile-grid acceptance run: 100 Mpixel in 512x512 tiles with
 # spill-to-disk output, <= 2 tile rows resident, exact reconstruction —
 # synchronous and pipelined.
 tiles-stress:
-    cargo test --release -p ccl-tiles --test tiles_equivalence -- --ignored
+    cargo test --locked --release -p ccl-tiles --test tiles_equivalence -- --ignored
 
 # Full-scale staged-pipeline run: 67 Mpixel through the composed
 # decode ∥ scan ∥ merge stack, <= 2 tile rows + carry resident, analysis
 # identical to whole-image AREMSP.
 pipeline-stress:
-    cargo test --release -p ccl-pipeline --test pipeline_equivalence -- --ignored
+    cargo test --locked --release -p ccl-pipeline --test pipeline_equivalence -- --ignored
