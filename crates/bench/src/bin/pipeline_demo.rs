@@ -3,21 +3,22 @@
 //! Out-of-core inputs are generation-bound in practice: the next band
 //! waits on a disk seek, an object-store GET or a sensor readout before
 //! any pixel can be scanned. This demo models that decode latency
-//! explicitly with `ccl-pipeline`'s device-paced wrappers (a fixed stall
-//! per delivered band/tile row — hiding *latency* needs no spare core,
+//! explicitly with `ccl-pipeline`'s device-paced `PacedRows` (a fixed
+//! stall per delivered band — hiding *latency* needs no spare core,
 //! so the win is measurable on any machine, single-core CI included) and
 //! runs the same raster through every execution mode:
 //!
 //! * rows: synchronous vs `PrefetchRows` (decode ∥ label);
 //! * tiles: synchronous vs the pipelined executor (scan ∥ merge) vs the
-//!   full three-stage stack `PrefetchTiles` + pipelined
-//!   (decode ∥ scan ∥ merge);
+//!   full three-stage stack — `GridSource` over `PrefetchRows` (one
+//!   prefetched band per tile row) + pipelined (decode ∥ scan ∥ merge);
 //!
 //! asserting identical component counts throughout and reporting wall
 //! time + speedup per mode. The JSON snapshot
-//! (`results/BENCH_pipeline.json`) and the committed
-//! `results/BENCH_HISTORY.jsonl` line record the prefetch-on/off pair so
-//! the overlap win is visible in the perf trajectory.
+//! (`results/BENCH_pipeline.json`) and a `BENCH_HISTORY.jsonl` line next
+//! to it (the committed `results/` log by default) record the
+//! prefetch-on/off pair so the overlap win is visible in the perf
+//! trajectory.
 //!
 //! ```text
 //! cargo run --release -p ccl-bench --bin pipeline_demo \
@@ -30,7 +31,7 @@ use ccl_bench::BinArgs;
 use ccl_datasets::harness::time_best_of;
 use ccl_datasets::report::{write_json, Table};
 use ccl_datasets::synth::stream::bernoulli_stream;
-use ccl_pipeline::{PacedRows, PrefetchRows, PrefetchTiles};
+use ccl_pipeline::{PacedRows, PrefetchRows};
 use ccl_stream::{label_stream, label_stream_pipelined, CountComponents, StripConfig};
 use ccl_tiles::{label_tiles, label_tiles_pipelined, GridSource, TileGridConfig};
 use serde::Serialize;
@@ -162,8 +163,8 @@ fn main() {
         "tiles decode∥scan∥merge",
         Some(tiles_sync.ms),
         &mut || {
-            let grid = GridSource::new(source(), TILE, TILE);
-            let mut staged = PrefetchTiles::with_depth(grid, args.depth);
+            let rows = PrefetchRows::with_depth(source(), TILE, args.depth);
+            let mut staged = GridSource::new(rows, TILE, TILE);
             let mut sink = CountComponents::default();
             label_tiles_pipelined(&mut staged, tile_cfg(), &mut sink).expect("infallible");
             sink.count
@@ -193,6 +194,7 @@ fn main() {
         std::fs::create_dir_all(dir).expect("create results dir");
     }
     write_json(&json_path, &result).expect("write json");
-    ccl_bench::append_history("pipeline_demo", &result).expect("append history");
-    eprintln!("wrote {json_path} (+ {})", ccl_bench::HISTORY_PATH);
+    let history =
+        ccl_bench::append_history(&json_path, "pipeline_demo", &result).expect("append history");
+    eprintln!("wrote {json_path} (+ {})", history.display());
 }

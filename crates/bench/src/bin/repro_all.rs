@@ -113,8 +113,9 @@ fn main() {
 
     println!("==> BENCH_paremsp.json (phase-timed thread sweep)");
     let snapshot = paremsp_snapshot(args.scale, args.reps);
-    write_json("results/BENCH_paremsp.json", &snapshot).expect("write BENCH_paremsp.json");
-    ccl_bench::append_history("repro_all/paremsp", &snapshot).expect("append history");
+    let json_path = "results/BENCH_paremsp.json";
+    write_json(json_path, &snapshot).expect("write BENCH_paremsp.json");
+    ccl_bench::append_history(json_path, "repro_all/paremsp", &snapshot).expect("append history");
     println!(
         "  {} ({:.1} Mpixel): 1t {:.1} ms -> 24t {:.1} ms",
         snapshot.image,

@@ -194,6 +194,7 @@ fn main() {
         std::fs::create_dir_all(dir).expect("create results dir");
     }
     write_json(&json_path, &result).expect("write json");
-    ccl_bench::append_history("stream_demo", &result).expect("append history");
-    eprintln!("wrote {json_path} (+ {})", ccl_bench::HISTORY_PATH);
+    let history =
+        ccl_bench::append_history(&json_path, "stream_demo", &result).expect("append history");
+    eprintln!("wrote {json_path} (+ {})", history.display());
 }

@@ -11,8 +11,10 @@
 //!
 //! Timings include row generation, so the metric is end-to-end pipeline
 //! throughput, comparable across commits via the JSON snapshot
-//! (`results/BENCH_tiles.json`) and the committed history line
-//! (`results/BENCH_HISTORY.jsonl`).
+//! (`results/BENCH_tiles.json`) and a history line in the
+//! `BENCH_HISTORY.jsonl` next to it. `--prefetch` generates on a worker
+//! thread: `GridSource` windows a `PrefetchRows` that pulls one band per
+//! tile row; `--pipeline` runs the pipelined scan ∥ merge executor.
 //!
 //! ```text
 //! cargo run --release -p ccl-bench --bin tiles_demo \
@@ -23,7 +25,7 @@ use ccl_bench::BinArgs;
 use ccl_datasets::harness::time_best_of;
 use ccl_datasets::report::{write_json, Table};
 use ccl_datasets::synth::stream::bernoulli_stream;
-use ccl_pipeline::PrefetchTiles;
+use ccl_pipeline::PrefetchRows;
 use ccl_stream::CountComponents;
 use ccl_tiles::{
     label_tiles, label_tiles_pipelined, spill_tiles, spill_tiles_pipelined, GridSource,
@@ -88,23 +90,24 @@ fn run_labeling(
     height: usize,
 ) -> Result<TileGridStats, TilesError> {
     let source = bernoulli_stream(WIDTH, height, DENSITY, height as u64);
-    let grid = GridSource::new(source, TILE, TILE);
     let mut sink = CountComponents::default();
+    // prefetching pulls one band per tile row
+    let prefetched = |source| PrefetchRows::with_depth(source, TILE, args.depth);
     match (args.prefetch, args.pipeline) {
         (true, true) => {
-            let mut staged = PrefetchTiles::with_depth(grid, args.depth);
+            let mut staged = GridSource::new(prefetched(source), TILE, TILE);
             label_tiles_pipelined(&mut staged, cfg.clone(), &mut sink)
         }
         (true, false) => {
-            let mut staged = PrefetchTiles::with_depth(grid, args.depth);
+            let mut staged = GridSource::new(prefetched(source), TILE, TILE);
             label_tiles(&mut staged, cfg.clone(), &mut sink)
         }
         (false, true) => {
-            let mut grid = grid;
+            let mut grid = GridSource::new(source, TILE, TILE);
             label_tiles_pipelined(&mut grid, cfg.clone(), &mut sink)
         }
         (false, false) => {
-            let mut grid = grid;
+            let mut grid = GridSource::new(source, TILE, TILE);
             label_tiles(&mut grid, cfg.clone(), &mut sink)
         }
     }
@@ -251,6 +254,7 @@ fn main() {
         std::fs::create_dir_all(dir).expect("create results dir");
     }
     write_json(&json_path, &result).expect("write json");
-    ccl_bench::append_history("tiles_demo", &result).expect("append history");
-    eprintln!("wrote {json_path} (+ {})", ccl_bench::HISTORY_PATH);
+    let history =
+        ccl_bench::append_history(&json_path, "tiles_demo", &result).expect("append history");
+    eprintln!("wrote {json_path} (+ {})", history.display());
 }

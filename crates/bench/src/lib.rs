@@ -210,16 +210,23 @@ impl BinArgs {
     }
 }
 
-/// Path of the committed perf-trajectory log appended by `repro_all`,
-/// `stream_demo` and `tiles_demo`: one JSON object per line, so
-/// regressions are visible across commits (`git log -p results/…`) and
-/// CI uploads the whole `results/` directory as an artifact.
-pub const HISTORY_PATH: &str = "results/BENCH_HISTORY.jsonl";
+/// File name of the perf-trajectory log appended by `repro_all`,
+/// `stream_demo`, `tiles_demo` and `pipeline_demo`: one JSON object per
+/// line, kept next to the JSON snapshot it records. With the default
+/// snapshot paths that is the committed `results/BENCH_HISTORY.jsonl`,
+/// so regressions are visible across commits (`git log -p results/…`);
+/// a run with `--json /tmp/…` leaves the committed log untouched.
+pub const HISTORY_FILE: &str = "BENCH_HISTORY.jsonl";
 
-/// Appends one record to [`HISTORY_PATH`]:
+/// Appends one record to the [`HISTORY_FILE`] in the directory of
+/// `snapshot` (a JSON snapshot the caller has written):
 /// `{"bench": <name>, "unix_ms": <now>, "data": <value>}` on a single
-/// line. Creates `results/` when missing.
-pub fn append_history<T: serde::Serialize>(bench: &str, value: &T) -> std::io::Result<()> {
+/// line. Returns the history file's path.
+pub fn append_history<T: serde::Serialize>(
+    snapshot: &str,
+    bench: &str,
+    value: &T,
+) -> std::io::Result<std::path::PathBuf> {
     use std::io::Write as _;
     let to_io = |e: serde_json::Error| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
     let unix_ms = std::time::SystemTime::now()
@@ -233,12 +240,13 @@ pub fn append_history<T: serde::Serialize>(bench: &str, value: &T) -> std::io::R
         "{{\"bench\": {name}, \"unix_ms\": {unix_ms}, \"data\": {}}}\n",
         compact_json(&data)
     );
-    std::fs::create_dir_all("results")?;
+    let path = std::path::Path::new(snapshot).with_file_name(HISTORY_FILE);
     let mut f = std::fs::File::options()
         .create(true)
         .append(true)
-        .open(HISTORY_PATH)?;
-    f.write_all(line.as_bytes())
+        .open(&path)?;
+    f.write_all(line.as_bytes())?;
+    Ok(path)
 }
 
 /// Collapses pretty-printed JSON to one line by dropping all whitespace
@@ -322,5 +330,17 @@ mod tests {
         let compact = compact_json(&serde_json::to_string_pretty(&s).unwrap());
         assert!(!compact.contains('\n'));
         assert!(compact.contains("\"two words\""));
+    }
+
+    #[test]
+    fn history_lands_next_to_the_snapshot() {
+        let dir = std::env::temp_dir().join(format!("ccl-history-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let snapshot = dir.join("BENCH_x.json");
+        let path = append_history(snapshot.to_str().unwrap(), "x", &[1, 2]).unwrap();
+        assert_eq!(path, dir.join(HISTORY_FILE));
+        let log = std::fs::read_to_string(&path).unwrap();
+        assert!(log.starts_with("{\"bench\": \"x\""), "{log}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

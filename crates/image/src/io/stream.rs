@@ -171,7 +171,8 @@ pub struct PbmBands<R: Read> {
 }
 
 impl<R: Read> PbmBands<R> {
-    /// Parses the PBM header (magic + dimensions) from `reader`.
+    /// Parses the PBM header (magic + dimensions) from `reader`; a zero
+    /// width with a non-zero height is an [`ImageError::Dimensions`].
     pub fn new(reader: R) -> Result<Self, ImageError> {
         let mut scanner = ByteScanner::new(reader);
         let magic = scanner.next_token()?;
@@ -187,6 +188,7 @@ impl<R: Read> PbmBands<R> {
         };
         let width = scanner.next_usize()?;
         let height = scanner.next_usize()?;
+        check_band_dimensions(width, height)?;
         if kind == PbmKind::Binary {
             scanner.expect_single_whitespace()?;
         }
@@ -263,6 +265,20 @@ impl<R: Read> PbmBands<R> {
     }
 }
 
+/// Rejects a header declaring rows of zero width: such rows hold no
+/// samples, so a huge height would decode empty bands without ever
+/// reading input. 0×0 stays valid.
+fn check_band_dimensions(width: usize, height: usize) -> Result<(), ImageError> {
+    if width == 0 && height > 0 {
+        return Err(ImageError::Dimensions {
+            width,
+            height,
+            buffer_len: None,
+        });
+    }
+    Ok(())
+}
+
 /// Which PGM body encoding a [`PgmBands`] stream carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PgmKind {
@@ -283,7 +299,8 @@ pub struct PgmBands<R: Read> {
 }
 
 impl<R: Read> PgmBands<R> {
-    /// Parses the PGM header (magic, dimensions, maxval) from `reader`.
+    /// Parses the PGM header (magic, dimensions, maxval) from `reader`; a
+    /// zero width with a non-zero height is an [`ImageError::Dimensions`].
     pub fn new(reader: R) -> Result<Self, ImageError> {
         let mut scanner = ByteScanner::new(reader);
         let magic = scanner.next_token()?;
@@ -299,6 +316,7 @@ impl<R: Read> PgmBands<R> {
         };
         let width = scanner.next_usize()?;
         let height = scanner.next_usize()?;
+        check_band_dimensions(width, height)?;
         let maxval = scanner.next_usize()?;
         match kind {
             PgmKind::Ascii if maxval == 0 || maxval > 65535 => {
@@ -502,6 +520,15 @@ mod tests {
             bands.next_band(usize::MAX),
             Err(ImageError::Dimensions { .. })
         ));
+        // zero-width rows with a huge height: rejected up front, not
+        // decoded as empty bands forever
+        for data in [&b"P1 0 18446744073709551615\n"[..], b"P4 0 100000000000\n"] {
+            assert!(matches!(
+                PbmBands::new(data),
+                Err(ImageError::Dimensions { width: 0, .. })
+            ));
+        }
+        assert!(PbmBands::new(&b"P4 0 0\n"[..]).is_ok(), "0x0 stays valid");
     }
 
     #[test]
@@ -510,6 +537,19 @@ mod tests {
             let mut bands = PgmBands::new(data).unwrap();
             assert!(matches!(bands.next_band(200000), Err(ImageError::Parse(_))));
         }
+        for data in [
+            &b"P2 0 18446744073709551615 255\n"[..],
+            b"P5 0 100000000000 255\n",
+        ] {
+            assert!(matches!(
+                PgmBands::new(data),
+                Err(ImageError::Dimensions { width: 0, .. })
+            ));
+        }
+        assert!(
+            PgmBands::new(&b"P5 0 0 255\n"[..]).is_ok(),
+            "0x0 stays valid"
+        );
     }
 
     #[test]

@@ -8,14 +8,18 @@
 //! `stream_demo`/`tiles_demo` show that band and tile-row *generation*
 //! dominates end-to-end throughput: the labeler sits idle while the next
 //! band decodes, then the source sits idle while the band labels. This
-//! crate closes that gap with two composable pieces:
+//! crate closes that gap with one source adapter that composes with the
+//! pipelined drivers:
 //!
-//! * [`PrefetchRows`] / [`PrefetchTiles`] — source adapters that move the
-//!   wrapped [`RowSource`](ccl_stream::RowSource) /
-//!   [`TileSource`](ccl_tiles::TileSource) onto a worker thread and hand
-//!   bands/tile rows through a bounded double buffer (configurable depth,
-//!   backpressure, clean shutdown on drop). Both implement the original
-//!   source traits, so every existing driver composes unchanged.
+//! * [`PrefetchRows`] moves the wrapped
+//!   [`RowSource`](ccl_stream::RowSource) onto a worker thread and hands
+//!   bands through a bounded double buffer (configurable depth,
+//!   backpressure, clean shutdown on drop). It implements `RowSource`
+//!   itself, so every existing driver composes unchanged — tile grids
+//!   included: [`GridSource`](ccl_tiles::GridSource) windows a row
+//!   source, and
+//!   `GridSource::new(PrefetchRows::with_depth(src, th, depth), tw, th)`
+//!   prefetches whole tile rows, because one band is one tile row.
 //! * the **pipelined scan ∥ merge executor** in `ccl-stream`
 //!   ([`ccl_stream::pipeline`]), which every `*_pipelined` driver of both
 //!   engines runs on — e.g.
@@ -27,16 +31,17 @@
 //!
 //! Stacked, they form a three-stage pipeline — decode ∥ scan ∥
 //! merge/spill — with bit-identical output to the synchronous paths.
-//! [`PacedRows`]/[`PacedTiles`] complete the toolkit: device-paced
-//! wrappers that impose a configurable per-pull latency, modelling the
+//! [`PacedRows`] completes the toolkit: a device-paced wrapper that
+//! imposes a configurable per-band latency, modelling the
 //! disk/network/sensor stalls that make real decode generation-bound
 //! (and making the overlap win measurable on any machine — hiding
 //! *latency* needs no spare core).
 //!
-//! Failures are typed, never hangs: a source error behind a prefetcher
+//! Failures are typed, never hangs: a source error behind the prefetcher
 //! surfaces as itself; a *panicking* source surfaces as
-//! [`PipelineError::WorkerPanicked`] (mapped to the
-//! `Worker` variants of the source-trait error types).
+//! [`StreamError::Worker`](ccl_stream::StreamError::Worker) (inside
+//! [`TilesError::Stream`](ccl_tiles::TilesError::Stream) when a tile
+//! driver pulls through `GridSource`).
 //!
 //! ## Example
 //!
@@ -60,13 +65,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod error;
-pub mod paced;
-pub mod prefetch_rows;
-pub mod prefetch_tiles;
-mod worker;
+mod paced;
+mod prefetch_rows;
 
-pub use error::PipelineError;
-pub use paced::{PacedRows, PacedTiles};
+pub use paced::PacedRows;
 pub use prefetch_rows::PrefetchRows;
-pub use prefetch_tiles::PrefetchTiles;

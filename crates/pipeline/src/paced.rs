@@ -1,8 +1,8 @@
-//! [`PacedRows`] / [`PacedTiles`] — device-paced source wrappers.
+//! [`PacedRows`] — a device-paced source wrapper.
 //!
 //! Real out-of-core inputs are rarely CPU-bound: the next band waits on
 //! a disk seek, an object-store GET or a sensor readout, and the wall
-//! time lost there is *latency*, not compute. These wrappers impose that
+//! time lost there is *latency*, not compute. [`PacedRows`] imposes that
 //! latency explicitly — each pull blocks the configured duration before
 //! delivering — which makes two things possible:
 //!
@@ -16,7 +16,6 @@ use std::time::Duration;
 
 use ccl_image::BinaryImage;
 use ccl_stream::{RowSource, StreamError};
-use ccl_tiles::{TileSource, TilesError};
 
 /// A [`RowSource`] that blocks `latency` before every delivered band —
 /// the band is "fetched from a device" rather than computed. Once the
@@ -69,94 +68,20 @@ impl<S: RowSource> RowSource for PacedRows<S> {
     }
 }
 
-/// A [`TileSource`] that blocks `latency` before every delivered tile
-/// row — the tile-grid counterpart of [`PacedRows`], with the same
-/// end-of-stream behaviour.
-pub struct PacedTiles<S> {
-    inner: S,
-    latency: Duration,
-    done: bool,
-}
-
-impl<S: TileSource> PacedTiles<S> {
-    /// Paces `inner` at one `latency` stall per tile row.
-    pub fn new(inner: S, latency: Duration) -> Self {
-        PacedTiles {
-            inner,
-            latency,
-            done: false,
-        }
-    }
-
-    /// Consumes the wrapper, returning the wrapped source.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: TileSource> TileSource for PacedTiles<S> {
-    fn width(&self) -> usize {
-        self.inner.width()
-    }
-
-    fn tile_width(&self) -> usize {
-        self.inner.tile_width()
-    }
-
-    fn tile_height(&self) -> usize {
-        self.inner.tile_height()
-    }
-
-    fn rows_remaining(&self) -> Option<usize> {
-        self.inner.rows_remaining()
-    }
-
-    fn next_tile_row(&mut self) -> Result<Option<Vec<BinaryImage>>, TilesError> {
-        if self.done {
-            return self.inner.next_tile_row();
-        }
-        if self.inner.rows_remaining() != Some(0) {
-            std::thread::sleep(self.latency);
-        }
-        let out = self.inner.next_tile_row();
-        if matches!(out, Ok(None) | Err(_)) {
-            self.done = true;
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ccl_stream::OwnedMemorySource;
-    use ccl_tiles::GridSource;
     use std::time::Instant;
 
     #[test]
     fn pacing_is_transparent_to_the_data() {
         let img = BinaryImage::from_fn(6, 9, |r, c| (r + c) % 2 == 0);
         let mut plain = OwnedMemorySource::new(img.clone());
-        let mut paced = PacedRows::new(
-            OwnedMemorySource::new(img.clone()),
-            Duration::from_micros(100),
-        );
+        let mut paced = PacedRows::new(OwnedMemorySource::new(img), Duration::from_micros(100));
         loop {
             let a = plain.next_band(4).unwrap();
             let b = paced.next_band(4).unwrap();
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        let mut paced_tiles = PacedTiles::new(
-            GridSource::new(OwnedMemorySource::new(img.clone()), 3, 4),
-            Duration::from_micros(100),
-        );
-        let mut plain_tiles = GridSource::from_image(&img, 3, 4);
-        loop {
-            let a = plain_tiles.next_tile_row().unwrap();
-            let b = paced_tiles.next_tile_row().unwrap();
             assert_eq!(a, b);
             if a.is_none() {
                 break;

@@ -1,16 +1,20 @@
 //! [`PrefetchRows`] — decode row bands one thread ahead of the consumer.
 
-use ccl_image::BinaryImage;
-use ccl_stream::{RowSource, StreamError};
+use std::sync::mpsc;
+use std::thread::JoinHandle;
 
-use crate::error::PipelineError;
-use crate::worker::PrefetchWorker;
+use ccl_image::BinaryImage;
+use ccl_stream::error::panic_message;
+use ccl_stream::{RowSource, StreamError};
 
 /// Moves a [`RowSource`] onto a worker thread and hands its bands to the
 /// consumer through a bounded channel, so band *generation/decode*
 /// overlaps band *labeling*. Implements [`RowSource`] itself, so every
 /// existing driver (`label_stream`, `analyze_stream`,
 /// `stream_to_label_image`, `GridSource` windowing) composes unchanged.
+/// A tile grid prefetches whole tile rows with
+/// `GridSource::new(PrefetchRows::with_depth(src, th, depth), tw, th)`:
+/// one band is one tile row.
 ///
 /// * **Backpressure**: the worker pulls at most `depth` bands ahead
 ///   (default 2 — a double buffer), then blocks until the consumer
@@ -20,12 +24,17 @@ use crate::worker::PrefetchWorker;
 ///   a partially consumed stream never leaks a thread.
 /// * **Errors**: a band the source fails to produce surfaces to the
 ///   consumer as the source's own [`StreamError`]; a *panicking* source
-///   is caught at the join and surfaces as [`StreamError::Worker`]
-///   (typed via [`PipelineError`]) — never a hang, never a lost error.
+///   is caught at the join and surfaces as [`StreamError::Worker`] —
+///   never a hang, never a lost error.
 pub struct PrefetchRows<S> {
     width: usize,
     rows_remaining: Option<usize>,
-    worker: PrefetchWorker<Result<BinaryImage, StreamError>, S>,
+    /// Prefetched bands; `None` once disconnected.
+    rx: Option<mpsc::Receiver<Result<BinaryImage, StreamError>>>,
+    handle: Option<JoinHandle<S>>,
+    /// The join's outcome — the source, or the panic message — kept so
+    /// `into_inner` can still report a panic the consumer already saw.
+    joined: Option<Result<S, String>>,
     /// Remainder of a delivered band when the consumer asked for fewer
     /// rows than the prefetch band height.
     pending: Option<BinaryImage>,
@@ -50,40 +59,76 @@ impl<S: RowSource + Send + 'static> PrefetchRows<S> {
     /// Panics when `band_rows` or `depth` is 0.
     pub fn with_depth(mut source: S, band_rows: usize, depth: usize) -> Self {
         assert!(band_rows > 0, "band height must be positive");
+        assert!(depth > 0, "prefetch depth must be positive");
         let width = source.width();
         let rows_remaining = source.rows_remaining();
-        let worker = PrefetchWorker::spawn("ccl-prefetch-rows", depth, move |tx| {
-            loop {
-                match source.next_band(band_rows) {
-                    Ok(Some(band)) => {
-                        if tx.send(Ok(band)).is_err() {
-                            break; // consumer dropped: clean shutdown
+        let (tx, rx) = mpsc::sync_channel(depth);
+        let handle = std::thread::Builder::new()
+            .name("ccl-prefetch-rows".to_string())
+            .spawn(move || {
+                loop {
+                    match source.next_band(band_rows) {
+                        Ok(Some(band)) => {
+                            if tx.send(Ok(band)).is_err() {
+                                break; // consumer dropped: clean shutdown
+                            }
+                        }
+                        Ok(None) => break,
+                        Err(e) => {
+                            let _ = tx.send(Err(e));
+                            break;
                         }
                     }
-                    Ok(None) => break,
-                    Err(e) => {
-                        let _ = tx.send(Err(e));
-                        break;
-                    }
                 }
-            }
-            source
-        });
+                source
+            })
+            .expect("spawn prefetch worker");
         PrefetchRows {
             width,
             rows_remaining,
-            worker,
+            rx: Some(rx),
+            handle: Some(handle),
+            joined: None,
             pending: None,
             poisoned: false,
         }
     }
 
+    /// Joins the worker once it hung up, distinguishing a clean exit
+    /// from a panic (reported once; later calls return `Ok`).
+    fn join(&mut self) -> Result<(), StreamError> {
+        if let Some(h) = self.handle.take() {
+            self.joined = Some(h.join().map_err(|p| panic_message(p.as_ref())));
+            if let Some(Err(msg)) = &self.joined {
+                return Err(StreamError::Worker(msg.clone()));
+            }
+        }
+        Ok(())
+    }
+
     /// Stops the worker and returns the wrapped source (its position is
     /// wherever the *worker* got to, up to `depth` bands ahead of what
-    /// was consumed). Errors if the worker panicked — even one already
-    /// reported through [`RowSource::next_band`].
-    pub fn into_inner(self) -> Result<S, PipelineError> {
-        self.worker.into_inner()
+    /// was consumed). Errors with [`StreamError::Worker`] if the worker
+    /// panicked — even one already reported through
+    /// [`RowSource::next_band`].
+    pub fn into_inner(mut self) -> Result<S, StreamError> {
+        self.rx = None; // disconnect: the worker's next send fails
+        let _ = self.join();
+        self.joined
+            .take()
+            .expect("worker joined")
+            .map_err(StreamError::Worker)
+    }
+}
+
+impl<S> Drop for PrefetchRows<S> {
+    fn drop(&mut self) {
+        self.rx = None; // disconnect first so the worker cannot block
+        if let Some(h) = self.handle.take() {
+            // A panic not yet surfaced through `next_band` is swallowed
+            // here — propagating from Drop would abort the process.
+            let _ = h.join();
+        }
     }
 }
 
@@ -103,7 +148,7 @@ impl<S: RowSource + Send + 'static> RowSource for PrefetchRows<S> {
         }
         let band = match self.pending.take() {
             Some(band) => band,
-            None => match self.worker.recv() {
+            None => match self.rx.as_ref().and_then(|rx| rx.recv().ok()) {
                 Some(Ok(band)) => band,
                 Some(Err(e)) => {
                     self.poisoned = true;
@@ -112,7 +157,7 @@ impl<S: RowSource + Send + 'static> RowSource for PrefetchRows<S> {
                 // Disconnected: the worker finished (cleanly or by
                 // panicking) — the join tells which.
                 None => {
-                    self.worker.join()?;
+                    self.join()?;
                     return Ok(None);
                 }
             },
@@ -259,11 +304,9 @@ mod tests {
         // into_inner after a surfaced panic reports the panic as an
         // error instead of panicking the caller
         match pf.into_inner() {
-            Err(PipelineError::WorkerPanicked(msg)) => {
-                assert!(msg.contains("blew up"), "{msg}")
-            }
-            Err(other) => panic!("expected WorkerPanicked, got {other}"),
-            Ok(_) => panic!("expected WorkerPanicked, got a source"),
+            Err(StreamError::Worker(msg)) => assert!(msg.contains("blew up"), "{msg}"),
+            Err(other) => panic!("expected Worker error, got {other}"),
+            Ok(_) => panic!("expected Worker error, got a source"),
         }
     }
 }

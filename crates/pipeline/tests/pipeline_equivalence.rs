@@ -18,13 +18,13 @@ use ccl_datasets::synth::shapes::{shape_scene, text_page};
 use ccl_datasets::synth::stream::bernoulli_stream;
 use ccl_datasets::synth::texture::{checkerboard, grating, rings, stripes};
 use ccl_image::BinaryImage;
-use ccl_pipeline::{PrefetchRows, PrefetchTiles};
+use ccl_pipeline::PrefetchRows;
 use ccl_stream::{
     analyze_stream, stream_to_label_image, OwnedMemorySource, RowSource, StreamError, StripConfig,
 };
 use ccl_tiles::{
     analyze_tiles, analyze_tiles_pipelined, tiles_to_label_image_pipelined, GridSource,
-    TileGridConfig, TileSource, TilesError,
+    TileGridConfig, TilesError,
 };
 
 /// One image per synthetic generator family (mirrors the `ccl-stream` and
@@ -125,8 +125,9 @@ proptest! {
         );
     }
 
-    /// Tentpole acceptance, tiles: prefetched tile rows + the pipelined
-    /// executor (decode ∥ scan ∥ merge) produce bit-identical records to
+    /// Tentpole acceptance, tiles: tile rows prefetched as row bands
+    /// (`GridSource` over `PrefetchRows`, one band per tile row) + the
+    /// pipelined executor (decode ∥ scan ∥ merge) produce bit-identical records to
     /// the synchronous grid across tile shapes, thread counts and all
     /// generators; only the residency stat differs, and it stays within
     /// two tile rows + the carry row.
@@ -146,12 +147,11 @@ proptest! {
         let mut sync_src = GridSource::from_image(&img, tw, th);
         let (sync_records, sync_stats) = analyze_tiles(&mut sync_src, cfg.clone()).unwrap();
 
-        let grid = GridSource::new(OwnedMemorySource::new(img), tw, th);
         let (records, stats) = if prefetch {
-            let mut staged = PrefetchTiles::new(grid);
-            analyze_tiles_pipelined(&mut staged, cfg).unwrap()
+            let rows = PrefetchRows::new(OwnedMemorySource::new(img), th);
+            analyze_tiles_pipelined(&mut GridSource::new(rows, tw, th), cfg).unwrap()
         } else {
-            let mut grid = grid;
+            let mut grid = GridSource::new(OwnedMemorySource::new(img), tw, th);
             analyze_tiles_pipelined(&mut grid, cfg).unwrap()
         };
         prop_assert_eq!(records, sync_records, "generator {} tiles {}x{}", gen, tw, th);
@@ -280,8 +280,7 @@ fn midstream_row_failure_surfaces_through_driver() {
 /// still arrives typed.
 #[test]
 fn midstream_tile_failure_surfaces_through_pipelined_driver() {
-    let grid = GridSource::new(FailingRows { good: 4 }, 3, 2);
-    let mut staged = PrefetchTiles::new(grid);
+    let mut staged = GridSource::new(PrefetchRows::new(FailingRows { good: 4 }, 2), 3, 2);
     let err = analyze_tiles_pipelined(&mut staged, TileGridConfig::default()).unwrap_err();
     match err {
         TilesError::Stream(StreamError::Image(e)) => {
@@ -291,36 +290,34 @@ fn midstream_tile_failure_surfaces_through_pipelined_driver() {
     }
 }
 
-/// Regression: a *panicking* source behind a prefetcher becomes a typed
-/// `Worker` error, not a deadlock and not a silent end-of-stream.
+/// Regression: a *panicking* row source behind the prefetcher of a tile
+/// grid becomes a typed `Worker` error, not a deadlock and not a silent
+/// end-of-stream.
 #[test]
 fn panicking_tile_source_surfaces_through_pipelined_driver() {
     struct PanicsMidStream {
         good: usize,
     }
-    impl TileSource for PanicsMidStream {
+    impl RowSource for PanicsMidStream {
         fn width(&self) -> usize {
             4
-        }
-        fn tile_width(&self) -> usize {
-            4
-        }
-        fn tile_height(&self) -> usize {
-            2
         }
         fn rows_remaining(&self) -> Option<usize> {
             None
         }
-        fn next_tile_row(&mut self) -> Result<Option<Vec<BinaryImage>>, TilesError> {
+        fn next_band(&mut self, max_rows: usize) -> Result<Option<BinaryImage>, StreamError> {
             assert!(self.good > 0, "generator state corrupted");
             self.good -= 1;
-            Ok(Some(vec![BinaryImage::ones(4, 2)]))
+            Ok(Some(BinaryImage::ones(4, max_rows.min(2))))
         }
     }
-    let mut staged = PrefetchTiles::new(PanicsMidStream { good: 2 });
+    let rows = PrefetchRows::new(PanicsMidStream { good: 2 }, 2);
+    let mut staged = GridSource::new(rows, 4, 2);
     let err = analyze_tiles_pipelined(&mut staged, TileGridConfig::default()).unwrap_err();
     match err {
-        TilesError::Worker(msg) => assert!(msg.contains("corrupted"), "{msg}"),
+        TilesError::Stream(StreamError::Worker(msg)) => {
+            assert!(msg.contains("corrupted"), "{msg}")
+        }
         other => panic!("expected Worker error, got {other:?}"),
     }
 }
@@ -332,8 +329,7 @@ fn panicking_tile_source_surfaces_through_pipelined_driver() {
 fn staged_pipeline_matches_whole_image_at_scale() {
     let (w, h, tile) = (256usize, 2048usize, 64usize);
     let source = bernoulli_stream(w, h, 0.5, 123);
-    let grid = GridSource::new(source, tile, tile);
-    let mut staged = PrefetchTiles::new(grid);
+    let mut staged = GridSource::new(PrefetchRows::new(source, tile), tile, tile);
     let (records, stats) = analyze_tiles_pipelined(&mut staged, TileGridConfig::default()).unwrap();
     assert_eq!(stats.rows, h);
     assert!(stats.peak_resident_rows <= 2 * tile + 1);
@@ -352,8 +348,7 @@ fn staged_pipeline_matches_whole_image_at_scale() {
 fn gigascale_staged_pipeline_bounded_memory() {
     let (w, h, tile) = (4096usize, 16_384usize, 512usize);
     let source = bernoulli_stream(w, h, 0.5, 9001);
-    let grid = GridSource::new(source, tile, tile);
-    let mut staged = PrefetchTiles::new(grid);
+    let mut staged = GridSource::new(PrefetchRows::new(source, tile), tile, tile);
     let (_, stats) = analyze_tiles_pipelined(&mut staged, TileGridConfig::default()).unwrap();
     assert_eq!(stats.rows, h);
     assert_eq!(stats.peak_resident_rows, 2 * tile + 1);

@@ -38,7 +38,7 @@ use ccl_image::BinaryImage;
 use crate::analysis::{ComponentSink, LabelSink};
 use crate::error::StreamError;
 use crate::merge::{CarryMerge, ScannedRows};
-use crate::scan::{scan_tile_row, TileLabels};
+use crate::scan::scan_tile_row;
 
 /// Configuration for [`StripLabeler`] (and, as `TileGridConfig`, for the
 /// `ccl-tiles` grid labeler).
@@ -48,8 +48,6 @@ pub struct StripConfig {
     pub threads: usize,
     /// Boundary-merge implementation for the parallel mode.
     pub merger: MergerKind,
-    /// Lock stripes for [`MergerKind::Locked`]; `None` = default.
-    pub lock_stripes: Option<usize>,
 }
 
 impl Default for StripConfig {
@@ -57,7 +55,6 @@ impl Default for StripConfig {
         StripConfig {
             threads: 1,
             merger: MergerKind::default(),
-            lock_stripes: None,
         }
     }
 }
@@ -229,7 +226,7 @@ impl StripLabeler {
     /// apart.
     pub(crate) fn merge_scanned_band(
         &mut self,
-        band: ScannedRows<TileLabels>,
+        band: ScannedRows,
         components: &mut dyn ComponentSink,
         strips: Option<&mut dyn LabelSink>,
     ) {

@@ -40,7 +40,7 @@ use ccl_unionfind::{RemSP, UnionFind};
 
 use crate::analysis::{Accum, ComponentSink};
 use crate::labeler::{StreamStats, StripConfig};
-use crate::scan::Merger;
+use crate::scan::{Merger, TileLabels};
 
 /// Post-scan view of one band's equivalences: sequential RemSP or the
 /// parallel shared parent array. Both are Rem-family (parents ≤
@@ -144,12 +144,12 @@ pub fn carry_bound(width: usize) -> u32 {
 }
 
 /// One scanned band (or tile row), ready for [`CarryMerge::merge`].
-pub struct ScannedRows<L> {
+pub struct ScannedRows {
     /// Height in rows (kept for rows with no pixels too).
     pub h: usize,
-    /// The caller's label layout — a strip buffer, per-tile buffers —
-    /// handed back through [`MergedRows::labels`].
-    pub labels: L,
+    /// The per-tile label buffers (one tile for a strip band), handed
+    /// back through [`MergedRows::labels`].
+    pub labels: TileLabels,
     /// Full-width labels of the first row; empty when the rows hold no
     /// pixels (zero height or zero width).
     pub top: Vec<u32>,
@@ -167,13 +167,13 @@ pub struct ScannedRows<L> {
     pub used: Vec<Range<u32>>,
 }
 
-impl<L: Default> ScannedRows<L> {
+impl ScannedRows {
     /// Rows with no pixels (zero height or zero width): the merge stage
     /// only counts them.
     pub fn empty(h: usize) -> Self {
         ScannedRows {
             h,
-            labels: L::default(),
+            labels: TileLabels::default(),
             top: Vec::new(),
             last: Vec::new(),
             uf: BandUf::Seq(RemSP::new()),
@@ -181,9 +181,7 @@ impl<L: Default> ScannedRows<L> {
             used: Vec::new(),
         }
     }
-}
 
-impl<L> ScannedRows<L> {
     /// True when the rows hold no pixels.
     pub fn is_degenerate(&self) -> bool {
         self.top.is_empty()
@@ -192,9 +190,9 @@ impl<L> ScannedRows<L> {
 
 /// A merged band, for callers that emit labels: maps each provisional
 /// label to its stream id.
-pub struct MergedRows<L> {
+pub struct MergedRows {
     /// The labels handed in with the [`ScannedRows`].
-    pub labels: L,
+    pub labels: TileLabels,
     /// Global row of the band's first row.
     pub first_row: usize,
     /// Height of the band in rows.
@@ -208,7 +206,7 @@ pub struct MergedRows<L> {
     acc: Vec<Accum>,
 }
 
-impl<L> MergedRows<L> {
+impl MergedRows {
     /// Stream id of a non-zero provisional label of this band.
     #[inline]
     pub fn gid(&self, label: u32) -> u64 {
@@ -217,10 +215,7 @@ impl<L> MergedRows<L> {
 
     /// A label buffer of this band as stream ids (0 stays background),
     /// filled over element spans across `threads` workers.
-    pub fn gids(&self, labels: &[u32], threads: usize) -> Vec<u64>
-    where
-        L: Sync,
-    {
+    pub fn gids(&self, labels: &[u32], threads: usize) -> Vec<u64> {
         let mut gids = vec![0u64; labels.len()];
         let fill = |span: Range<usize>, dst: &mut [u64]| {
             for (g, &l) in dst.iter_mut().zip(&labels[span]) {
@@ -321,12 +316,12 @@ impl CarryMerge {
     /// components that closed, and makes the band's last row the new
     /// carry. Returns the label-to-id view when `want_labels` is set and
     /// the band has pixels.
-    pub fn merge<L>(
+    pub fn merge(
         &mut self,
-        rows: ScannedRows<L>,
+        rows: ScannedRows,
         components: &mut dyn ComponentSink,
         want_labels: bool,
-    ) -> Option<MergedRows<L>> {
+    ) -> Option<MergedRows> {
         let ScannedRows {
             h,
             labels,

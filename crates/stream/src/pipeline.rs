@@ -43,16 +43,15 @@ use crate::source::RowSource;
 /// the stream; `on_panic` turns a panicking scan's payload into an error.
 /// Returns the pipeline's peak residency in pixel rows: the tallest pair
 /// of consecutive bands with pixels, plus the carry row once two exist.
-pub fn run_scan_merge<L, E, S, M>(
+pub fn run_scan_merge<E, S, M>(
     mut scan: S,
     mut merge: M,
     on_panic: fn(&(dyn Any + Send)) -> E,
 ) -> Result<usize, E>
 where
-    L: Send,
     E: Send,
-    S: FnMut() -> Result<Option<ScannedRows<L>>, E> + Send,
-    M: FnMut(ScannedRows<L>) -> Result<(), E>,
+    S: FnMut() -> Result<Option<ScannedRows>, E> + Send,
+    M: FnMut(ScannedRows) -> Result<(), E>,
 {
     // Residency: while the merge stage holds band k, the scan stage holds
     // at most band k + 1 (the send blocks until the merge stage takes the

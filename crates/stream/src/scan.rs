@@ -55,10 +55,9 @@ pub(crate) struct Merger(Box<dyn ConcurrentMerger>);
 
 impl Merger {
     pub(crate) fn new(cfg: &StripConfig) -> Self {
-        Merger(match (cfg.merger, cfg.lock_stripes) {
-            (MergerKind::Locked, Some(s)) => Box::new(LockedMerger::with_stripes(s)),
-            (MergerKind::Locked, None) => Box::new(LockedMerger::new()),
-            (MergerKind::Cas, _) => Box::new(CasMerger::new()),
+        Merger(match cfg.merger {
+            MergerKind::Locked => Box::new(LockedMerger::new()),
+            MergerKind::Cas => Box::new(CasMerger::new()),
         })
     }
 }
@@ -107,7 +106,7 @@ pub fn scan_tile_row(
     cfg: &StripConfig,
     carry_cap: u32,
     r0: usize,
-) -> ScannedRows<TileLabels> {
+) -> ScannedRows {
     let th = tiles.first().map_or(0, BinaryImage::height);
     debug_assert!(tiles.iter().all(|t| t.height() == th), "ragged tile row");
     let widths: Vec<usize> = tiles.iter().map(BinaryImage::width).collect();

@@ -37,27 +37,18 @@ pub enum TilesError {
     },
     /// The spill sidecar manifest is missing or malformed.
     Manifest(String),
-    /// A background pipeline worker (the tile-scan stage or a
-    /// `ccl-pipeline` prefetcher) died without producing a tile row —
-    /// typically a panic in the wrapped source; the payload is the panic
-    /// message.
+    /// The pipelined tile-scan stage died without producing a tile row —
+    /// typically a panic in the tile source; the payload is the panic
+    /// message. (A panic behind a row prefetcher arrives as
+    /// [`TilesError::Stream`] with [`StreamError::Worker`].)
     Worker(String),
 }
 
 impl TilesError {
-    /// Builds [`TilesError::Worker`] from a caught panic payload
-    /// (`&str`/`String` payloads pass through as the message, anything
-    /// else becomes a generic one). Used wherever a pipeline stage joins
-    /// a worker thread.
+    /// Builds [`TilesError::Worker`] from a caught panic payload (see
+    /// [`panic_message`](ccl_stream::error::panic_message)).
     pub fn worker_panic(payload: &(dyn std::any::Any + Send)) -> Self {
-        let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "worker panicked".to_string()
-        };
-        TilesError::Worker(msg)
+        TilesError::Worker(ccl_stream::error::panic_message(payload))
     }
 }
 

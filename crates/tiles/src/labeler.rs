@@ -197,7 +197,7 @@ impl TileGridLabeler {
     /// apart.
     pub(crate) fn merge_scanned(
         &mut self,
-        row: ScannedRows<TileLabels>,
+        row: ScannedRows,
         components: &mut dyn ComponentSink,
         sink: Option<&mut dyn TileSink>,
     ) -> Result<(), TilesError> {

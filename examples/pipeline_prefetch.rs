@@ -15,8 +15,8 @@ use std::time::{Duration, Instant};
 use paremsp::datasets::synth::stream::bernoulli_stream;
 use paremsp::pipeline::PacedRows;
 use paremsp::prelude::{
-    analyze_stream, analyze_tiles, analyze_tiles_pipelined, GridSource, PrefetchRows,
-    PrefetchTiles, StripConfig, TileGridConfig,
+    analyze_stream, analyze_tiles, analyze_tiles_pipelined, GridSource, PrefetchRows, StripConfig,
+    TileGridConfig,
 };
 
 const W: usize = 512;
@@ -65,7 +65,8 @@ fn main() {
     assert_eq!(pf_stats.components, sync_stats.components);
 
     // 3. Tile grid, synchronous vs the full three-stage pipeline:
-    //    decode (worker) ∥ scan tiles (worker) ∥ merge seams (main).
+    //    decode (worker) ∥ scan tiles (worker) ∥ merge seams (main). The
+    //    grid windows a prefetcher that pulls one band per tile row.
     let t = Instant::now();
     let mut grid = GridSource::new(source(), TILE, TILE);
     let (tiles_sync_records, _) =
@@ -74,8 +75,7 @@ fn main() {
     println!("tiles, synchronous:       {tiles_sync_ms:7.1} ms");
 
     let t = Instant::now();
-    let grid = GridSource::new(source(), TILE, TILE);
-    let mut staged = PrefetchTiles::new(grid);
+    let mut staged = GridSource::new(PrefetchRows::new(source(), TILE), TILE, TILE);
     let (tiles_pipe_records, tiles_pipe_stats) =
         analyze_tiles_pipelined(&mut staged, TileGridConfig::default()).expect("pipelined tiles");
     let tiles_pipe_ms = t.elapsed().as_secs_f64() * 1e3;

@@ -2,7 +2,7 @@
 # local runs and CI cannot drift. `just ci` is the full gate.
 
 # Full CI gate: everything the workflow runs, in the same order.
-ci: fmt-check clippy build test perfbench-test doc smoke stream-smoke tiles-smoke pipeline-smoke fold-smoke stress bench-smoke
+ci: fmt-check clippy build test perfbench-test doc smoke stream-smoke tiles-smoke pipeline-smoke fold-smoke stress bench-smoke clean-tree
 
 # Format the whole workspace in place.
 fmt:
@@ -61,6 +61,12 @@ fold-smoke:
 # Compile all ten criterion benches without running them.
 bench-smoke:
     cargo bench --locked --no-run --workspace
+
+# CI's last gate: fails when any step above left tracked or unignored
+# files behind (run it on a committed tree).
+clean-tree:
+    git status --porcelain
+    test -z "$(git status --porcelain)"
 
 # Run the criterion benches (shim harness; CCL_BENCH_MS bounds per-bench time).
 bench:

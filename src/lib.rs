@@ -23,9 +23,10 @@
 //!   labeler (vertical *and* horizontal seam merges over a tile row),
 //!   and spill-to-disk label output with a sidecar merge table — both
 //!   input and output bounded by O(tile row)
-//! * [`pipeline`] — prefetching source adapters (decode on a worker
-//!   thread, bounded double buffer) and, together with the `*_pipelined`
-//!   drivers in [`tiles`], a decode ∥ scan ∥ merge execution pipeline
+//! * [`pipeline`] — the prefetching row-source adapter (decode on a
+//!   worker thread, bounded double buffer; tile grids window it through
+//!   `GridSource`) and, together with the `*_pipelined` drivers in
+//!   [`stream`] and [`tiles`], a decode ∥ scan ∥ merge execution pipeline
 //!   with bit-identical output
 //!
 //! ## Quickstart
@@ -75,7 +76,7 @@ pub mod prelude {
     pub use ccl_core::Algorithm;
     pub use ccl_image::threshold::im2bw;
     pub use ccl_image::{BinaryImage, Connectivity, GrayImage, RgbImage};
-    pub use ccl_pipeline::{PacedRows, PacedTiles, PipelineError, PrefetchRows, PrefetchTiles};
+    pub use ccl_pipeline::{PacedRows, PrefetchRows};
     pub use ccl_stream::{
         analyze_stream, analyze_stream_pipelined, label_stream, label_stream_pipelined,
         stream_to_label_image, stream_to_label_image_pipelined, ComponentRecord, ComponentSink,
