@@ -21,7 +21,7 @@ use ccl_datasets::synth::noise::bernoulli;
 use ccl_datasets::synth::texture::rings;
 use ccl_image::BinaryImage;
 use ccl_stream::{
-    analyze_stream, analyze_stream_pipelined, ComponentRecord, OwnedMemorySource, StripConfig,
+    analyze_stream, analyze_stream_pipelined, ComponentRecord, MemorySource, StripConfig,
 };
 use ccl_tiles::{analyze_tiles, analyze_tiles_pipelined, GridSource};
 
@@ -131,7 +131,7 @@ fn main() {
         let expected = oracle(img);
         for threads in [1usize, 4] {
             let cfg = StripConfig::parallel(threads);
-            let strip = || OwnedMemorySource::new(img.clone());
+            let strip = || MemorySource::new(img);
             let grid = || GridSource::from_image(img, 24, 24);
             let strips = [
                 ("strip", analyze_stream(&mut strip(), 32, cfg.clone())),

@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! cargo run --release -p ccl-bench --bin stream_demo \
-//!     [--reps N] [--threads CSV] [--merger locked|cas] [--json PATH]
+//!     [--reps N] [--threads CSV] [--json PATH]
 //! ```
 
 use ccl_bench::BinArgs;
@@ -27,7 +27,6 @@ use serde::Serialize;
 const USAGE: &str = "stream_demo: bounded-memory streaming throughput vs image height
   --reps N         repetitions per cell (default 3)
   --threads CSV    in-band scan thread counts (default 1,4)
-  --merger KIND    boundary merger for parallel mode: locked (default) or cas
   --prefetch       generate bands on a worker thread (ccl-pipeline adapter)
   --pipeline       overlap band k's carry seam/fold with band k+1's scan
   --depth N        prefetch queue depth (default 2)
@@ -60,7 +59,6 @@ struct StreamBench {
     band_rows: usize,
     density: f64,
     threads: Vec<usize>,
-    merger: String,
     /// Whether band generation ran on a `ccl-pipeline` prefetch worker
     /// (`--prefetch`), overlapping generation with labeling.
     prefetch: bool,
@@ -73,7 +71,6 @@ struct StreamBench {
 fn main() {
     let args = BinArgs::parse(USAGE);
     let threads = args.threads.clone().unwrap_or_else(|| vec![1, 4]);
-    let merger = args.merger_or_default();
     let json_path = args
         .json
         .clone()
@@ -87,7 +84,7 @@ fn main() {
     };
     println!(
         "Streaming {WIDTH}-wide Bernoulli rasters in {BAND_ROWS}-row bands \
-         (density {DENSITY}, merger {merger}{mode})\n"
+         (density {DENSITY}{mode})\n"
     );
     let mut table = Table::new(
         [
@@ -111,7 +108,7 @@ fn main() {
         let mut components = 0u64;
         let mut peak = 0usize;
         for &t in &threads {
-            let cfg = StripConfig::parallel(t).with_merger(merger);
+            let cfg = StripConfig::parallel(t);
             let best = time_best_of(args.reps, || {
                 let source = bernoulli_stream(WIDTH, height, DENSITY, height as u64);
                 let mut sink = CountComponents::default();
@@ -185,7 +182,6 @@ fn main() {
         band_rows: BAND_ROWS,
         density: DENSITY,
         threads,
-        merger: merger.to_string(),
         prefetch: args.prefetch,
         pipeline: args.pipeline,
         rows,

@@ -18,7 +18,7 @@
 //!
 //! ```text
 //! cargo run --release -p ccl-bench --bin tiles_demo \
-//!     [--reps N] [--threads CSV] [--merger locked|cas] [--json PATH]
+//!     [--reps N] [--threads CSV] [--json PATH]
 //! ```
 
 use ccl_bench::BinArgs;
@@ -36,7 +36,6 @@ use serde::Serialize;
 const USAGE: &str = "tiles_demo: 2-D tile-grid out-of-core labeling throughput vs image height
   --reps N         repetitions per cell (default 3)
   --threads CSV    in-row scan thread counts (default 1,4)
-  --merger KIND    boundary merger for parallel mode: locked (default) or cas
   --prefetch       generate tile rows on a worker thread (ccl-pipeline adapter)
   --pipeline       overlap row k's merge/spill with row k+1's scans
   --depth N        prefetch queue depth (default 2)
@@ -69,7 +68,6 @@ struct TilesBench {
     tile: usize,
     density: f64,
     threads: Vec<usize>,
-    merger: String,
     /// Whether tile-row generation ran on a `ccl-pipeline` prefetch
     /// worker (`--prefetch`).
     prefetch: bool,
@@ -116,7 +114,6 @@ fn run_labeling(
 fn main() {
     let args = BinArgs::parse(USAGE);
     let threads = args.threads.clone().unwrap_or_else(|| vec![1, 4]);
-    let merger = args.merger_or_default();
     let json_path = args
         .json
         .clone()
@@ -130,7 +127,7 @@ fn main() {
     };
     println!(
         "Tiling {WIDTH}-wide Bernoulli rasters into {TILE}x{TILE} tiles \
-         (density {DENSITY}, merger {merger}{mode})\n"
+         (density {DENSITY}{mode})\n"
     );
     let mut table = Table::new(
         [
@@ -154,7 +151,7 @@ fn main() {
         let mut components = 0u64;
         let mut peak = 0usize;
         for &t in &threads {
-            let cfg = TileGridConfig::parallel(t).with_merger(merger);
+            let cfg = TileGridConfig::parallel(t);
             let best = time_best_of(args.reps, || {
                 let stats =
                     run_labeling(&args, &cfg, height).expect("generator streams are infallible");
@@ -243,7 +240,6 @@ fn main() {
         tile: TILE,
         density: DENSITY,
         threads,
-        merger: merger.to_string(),
         prefetch: args.prefetch,
         pipeline: args.pipeline,
         rows,

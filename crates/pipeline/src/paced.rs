@@ -71,14 +71,14 @@ impl<S: RowSource> RowSource for PacedRows<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccl_stream::OwnedMemorySource;
+    use ccl_stream::MemorySource;
     use std::time::Instant;
 
     #[test]
     fn pacing_is_transparent_to_the_data() {
         let img = BinaryImage::from_fn(6, 9, |r, c| (r + c) % 2 == 0);
-        let mut plain = OwnedMemorySource::new(img.clone());
-        let mut paced = PacedRows::new(OwnedMemorySource::new(img), Duration::from_micros(100));
+        let mut plain = MemorySource::owned(img.clone());
+        let mut paced = PacedRows::new(MemorySource::owned(img), Duration::from_micros(100));
         loop {
             let a = plain.next_band(4).unwrap();
             let b = paced.next_band(4).unwrap();
@@ -92,7 +92,7 @@ mod tests {
     #[test]
     fn pacing_actually_stalls() {
         let img = BinaryImage::ones(4, 8);
-        let mut paced = PacedRows::new(OwnedMemorySource::new(img), Duration::from_millis(2));
+        let mut paced = PacedRows::new(MemorySource::owned(img), Duration::from_millis(2));
         let t = Instant::now();
         let mut bands = 0;
         while paced.next_band(2).unwrap().is_some() {

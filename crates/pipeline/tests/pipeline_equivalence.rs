@@ -19,12 +19,10 @@ use ccl_datasets::synth::stream::bernoulli_stream;
 use ccl_datasets::synth::texture::{checkerboard, grating, rings, stripes};
 use ccl_image::BinaryImage;
 use ccl_pipeline::PrefetchRows;
-use ccl_stream::{
-    analyze_stream, stream_to_label_image, OwnedMemorySource, RowSource, StreamError, StripConfig,
-};
+use ccl_stream::{analyze_stream, MemorySource, RowSource, StreamError, StripConfig};
 use ccl_tiles::{
-    analyze_tiles, analyze_tiles_pipelined, tiles_to_label_image_pipelined, GridSource,
-    TileGridConfig, TilesError,
+    analyze_tiles, analyze_tiles_pipelined, tiles_to_label_image, tiles_to_label_image_pipelined,
+    GridSource, TileGridConfig, TilesError,
 };
 
 /// One image per synthetic generator family (mirrors the `ccl-stream` and
@@ -77,10 +75,10 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let img = generator_image(gen, w, h, seed);
-        let mut sync_src = OwnedMemorySource::new(img.clone());
+        let mut sync_src = MemorySource::owned(img.clone());
         let (sync_records, sync_stats) =
             analyze_stream(&mut sync_src, band, StripConfig::default()).unwrap();
-        let mut pf = PrefetchRows::with_depth(OwnedMemorySource::new(img), band, depth);
+        let mut pf = PrefetchRows::with_depth(MemorySource::owned(img), band, depth);
         let (records, stats) = analyze_stream(&mut pf, band, StripConfig::default()).unwrap();
         prop_assert_eq!(records, sync_records, "generator {} band {}", gen, band);
         prop_assert_eq!(stats, sync_stats);
@@ -99,10 +97,10 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let img = generator_image(gen, w, h, seed);
-        let mut sync_src = OwnedMemorySource::new(img.clone());
+        let mut sync_src = MemorySource::owned(img.clone());
         let (sync_records, _) =
             analyze_stream(&mut sync_src, band, StripConfig::default()).unwrap();
-        let mut pf = PrefetchRows::new(OwnedMemorySource::new(img), pf_band);
+        let mut pf = PrefetchRows::new(MemorySource::owned(img), pf_band);
         let (records, stats) = analyze_stream(&mut pf, band, StripConfig::default()).unwrap();
         prop_assert_eq!(stats.components as usize, records.len());
         // splitting changes the effective band boundaries: emission order
@@ -148,10 +146,10 @@ proptest! {
         let (sync_records, sync_stats) = analyze_tiles(&mut sync_src, cfg.clone()).unwrap();
 
         let (records, stats) = if prefetch {
-            let rows = PrefetchRows::new(OwnedMemorySource::new(img), th);
+            let rows = PrefetchRows::new(MemorySource::owned(img), th);
             analyze_tiles_pipelined(&mut GridSource::new(rows, tw, th), cfg).unwrap()
         } else {
-            let mut grid = GridSource::new(OwnedMemorySource::new(img), tw, th);
+            let mut grid = GridSource::new(MemorySource::owned(img), tw, th);
             analyze_tiles_pipelined(&mut grid, cfg).unwrap()
         };
         prop_assert_eq!(records, sync_records, "generator {} tiles {}x{}", gen, tw, th);
@@ -179,15 +177,15 @@ proptest! {
         use ccl_stream::analyze_stream_pipelined;
         let img = generator_image(gen, w, h, seed);
         let cfg = StripConfig::parallel(threads);
-        let mut sync_src = OwnedMemorySource::new(img.clone());
+        let mut sync_src = MemorySource::owned(img.clone());
         let (sync_records, sync_stats) =
             analyze_stream(&mut sync_src, band, cfg.clone()).unwrap();
 
         let (records, stats) = if prefetch {
-            let mut staged = PrefetchRows::new(OwnedMemorySource::new(img), band);
+            let mut staged = PrefetchRows::new(MemorySource::owned(img), band);
             analyze_stream_pipelined(&mut staged, band, cfg).unwrap()
         } else {
-            let mut src = OwnedMemorySource::new(img);
+            let mut src = MemorySource::owned(img);
             analyze_stream_pipelined(&mut src, band, cfg).unwrap()
         };
         prop_assert_eq!(records, sync_records, "generator {} band {}", gen, band);
@@ -198,18 +196,19 @@ proptest! {
     }
 
     /// Labeled output through the pipeline reconciles into the exact
-    /// whole-image partition.
+    /// whole-image partition — tile widths up to past the image width
+    /// included, so pipelined strips (one tile column) are covered too.
     #[test]
     fn pipelined_labels_reconcile_to_aremsp_partition(
         gen in 0usize..NUM_GENERATORS,
         w in 1usize..=14,
         h in 1usize..=14,
-        tw in 1usize..=8,
+        tw in 1usize..=15,
         th in 1usize..=8,
         seed in 0u64..1000,
     ) {
         let img = generator_image(gen, w, h, seed);
-        let mut grid = GridSource::new(OwnedMemorySource::new(img.clone()), tw, th);
+        let mut grid = GridSource::new(MemorySource::owned(img.clone()), tw, th);
         let (li, stats) =
             tiles_to_label_image_pipelined(&mut grid, TileGridConfig::default()).unwrap();
         let reference = aremsp(&img);
@@ -217,8 +216,9 @@ proptest! {
         prop_assert!(labelings_equivalent(&li, &reference));
     }
 
-    /// Prefetched strips reconcile into the exact whole-image partition
-    /// (the labeled-output path composes with prefetching too).
+    /// Prefetched strips — a one-column grid over `PrefetchRows` —
+    /// reconcile into the exact whole-image partition (the labeled-output
+    /// path composes with prefetching too).
     #[test]
     fn prefetched_strip_labels_reconcile(
         gen in 0usize..NUM_GENERATORS,
@@ -228,9 +228,9 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let img = generator_image(gen, w, h, seed);
-        let mut pf = PrefetchRows::new(OwnedMemorySource::new(img.clone()), band);
-        let (li, stats) =
-            stream_to_label_image(&mut pf, band, StripConfig::default()).unwrap();
+        let pf = PrefetchRows::new(MemorySource::owned(img.clone()), band);
+        let mut strips = GridSource::new(pf, w, band);
+        let (li, stats) = tiles_to_label_image(&mut strips, TileGridConfig::default()).unwrap();
         let reference = aremsp(&img);
         prop_assert_eq!(stats.components, reference.num_components() as u64);
         prop_assert!(labelings_equivalent(&li, &reference));

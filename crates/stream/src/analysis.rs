@@ -7,9 +7,9 @@
 //! pixels stream past and emitted exactly once, when the component
 //! *closes* (no pixel on the stream's frontier row).
 //!
-//! Consumers implement [`ComponentSink`] (and optionally [`LabelSink`]
-//! for labeled strip output); `Vec<ComponentRecord>` works out of the box
-//! for collect-everything callers.
+//! Consumers implement [`ComponentSink`]; `Vec<ComponentRecord>` works
+//! out of the box for collect-everything callers. Label output is
+//! `ccl-tiles`' (a strip is a one-column tile grid).
 //!
 //! # Partial accumulators and the seam fold (fused analysis)
 //!
@@ -46,7 +46,6 @@
 //!    tile row's) **first line**, whose upper neighbours are the carry
 //!    row the scan stage must not depend on — an O(width) absorb.
 
-use ccl_core::label::LabelImage;
 use ccl_core::scan::Foldable;
 
 /// Identifier of a streamed component: assigned when the component first
@@ -307,87 +306,6 @@ impl ComponentSink for CountComponents {
     }
 }
 
-/// Receives labeled strips for callers who *do* want label output.
-///
-/// Strip pixels hold [`ComponentId`]s (0 = background) as known at
-/// emission time. A component open across strips may later merge with
-/// another; [`LabelSink::merge`] reports every such event (before the
-/// band's strip), so a consumer that union-finds the merge pairs obtains
-/// the exact final partition. Components that close within the emitted
-/// strip already carry their final id.
-pub trait LabelSink {
-    /// Two previously emitted ids turned out to be one component; `kept`
-    /// (the smaller) survives.
-    fn merge(&mut self, kept: ComponentId, absorbed: ComponentId);
-
-    /// One band's labels, row-major, `width` columns, starting at global
-    /// row `first_row`.
-    fn strip(&mut self, first_row: usize, width: usize, gids: &[ComponentId]);
-}
-
-/// Reference [`LabelSink`]: buffers every strip and merge event, then
-/// reconciles them into a [`LabelImage`] (for tests, examples and callers
-/// with memory to spare — it holds the whole image, unlike the labeler).
-#[derive(Debug, Default)]
-pub struct CollectLabelImage {
-    width: usize,
-    gids: Vec<ComponentId>,
-    merges: Vec<(ComponentId, ComponentId)>,
-}
-
-impl LabelSink for CollectLabelImage {
-    fn merge(&mut self, kept: ComponentId, absorbed: ComponentId) {
-        self.merges.push((kept, absorbed));
-    }
-
-    fn strip(&mut self, first_row: usize, width: usize, gids: &[ComponentId]) {
-        debug_assert_eq!(first_row * width, self.gids.len(), "strips in order");
-        self.width = width;
-        self.gids.extend_from_slice(gids);
-    }
-}
-
-impl CollectLabelImage {
-    /// Applies the recorded merges and renumbers components canonically
-    /// (consecutive `1..=k` by raster order of first pixel), yielding a
-    /// label image comparable to the whole-image labelers via
-    /// [`LabelImage::canonicalized`].
-    pub fn into_label_image(self) -> LabelImage {
-        use std::collections::HashMap;
-        // Union-find over the sparse id space; merges always keep the
-        // smaller id, so pointing absorbed -> kept terminates.
-        let mut parent: HashMap<ComponentId, ComponentId> = HashMap::new();
-        for &(kept, absorbed) in &self.merges {
-            parent.insert(absorbed, kept);
-        }
-        let resolve = |mut id: ComponentId, parent: &HashMap<ComponentId, ComponentId>| {
-            while let Some(&p) = parent.get(&id) {
-                id = p;
-            }
-            id
-        };
-        let mut remap: HashMap<ComponentId, u32> = HashMap::new();
-        let mut next = 0u32;
-        let labels: Vec<u32> = self
-            .gids
-            .iter()
-            .map(|&g| {
-                if g == 0 {
-                    0
-                } else {
-                    let root = resolve(g, &parent);
-                    *remap.entry(root).or_insert_with(|| {
-                        next += 1;
-                        next
-                    })
-                }
-            })
-            .collect();
-        let height = labels.len().checked_div(self.width).unwrap_or(0);
-        LabelImage::from_raw(self.width, height, labels, next)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -495,34 +413,5 @@ mod tests {
         sink.component(&a.into_record());
         assert_eq!(sink.len(), 1);
         assert_eq!(sink[0].id, 7);
-    }
-
-    #[test]
-    fn collect_label_image_applies_merges() {
-        let mut sink = CollectLabelImage::default();
-        sink.strip(0, 3, &[1, 0, 2]);
-        sink.merge(1, 2);
-        sink.strip(1, 3, &[1, 1, 2]);
-        let li = sink.into_label_image();
-        assert_eq!(li.num_components(), 1);
-        assert_eq!(li.as_slice(), &[1, 0, 1, 1, 1, 1]);
-    }
-
-    #[test]
-    fn collect_label_image_chained_merges() {
-        let mut sink = CollectLabelImage::default();
-        sink.strip(0, 5, &[1, 0, 2, 0, 3]);
-        sink.merge(2, 3);
-        sink.merge(1, 2);
-        sink.strip(1, 5, &[0, 1, 0, 0, 0]);
-        let li = sink.into_label_image();
-        assert_eq!(li.num_components(), 1);
-    }
-
-    #[test]
-    fn empty_collect_label_image() {
-        let li = CollectLabelImage::default().into_label_image();
-        assert_eq!(li.num_components(), 0);
-        assert_eq!((li.width(), li.height()), (0, 0));
     }
 }

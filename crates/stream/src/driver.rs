@@ -1,9 +1,7 @@
 //! Convenience drivers — pull a whole [`RowSource`] through a
 //! [`StripLabeler`].
 
-use ccl_core::label::LabelImage;
-
-use crate::analysis::{CollectLabelImage, ComponentRecord, ComponentSink, CountComponents};
+use crate::analysis::{ComponentRecord, ComponentSink};
 use crate::error::StreamError;
 use crate::labeler::{StreamStats, StripConfig, StripLabeler};
 use crate::source::RowSource;
@@ -43,28 +41,6 @@ where
     Ok((records, stats))
 }
 
-/// Streams `source` and reconciles the labeled strips into a full
-/// [`LabelImage`] — for callers who *do* want label output and can afford
-/// it (the image is O(width × height); the labeling still runs in O(band)
-/// working memory on top).
-pub fn stream_to_label_image<S>(
-    source: &mut S,
-    band_rows: usize,
-    cfg: StripConfig,
-) -> Result<(LabelImage, StreamStats), StreamError>
-where
-    S: RowSource + ?Sized,
-{
-    let mut labeler = StripLabeler::with_config(source.width(), cfg);
-    let mut components = CountComponents::default();
-    let mut strips = CollectLabelImage::default();
-    while let Some(band) = source.next_band(band_rows)? {
-        labeler.push_band_with_labels(&band, &mut components, &mut strips)?;
-    }
-    let stats = labeler.finish(&mut components);
-    Ok((strips.into_label_image(), stats))
-}
-
 /// [`label_stream`] with the two-stage pipeline of [`crate::pipeline`]:
 /// band *k + 1*'s scan (and fused partial accumulation) overlaps band
 /// *k*'s carry seam / fold / compaction on a worker thread. Components
@@ -81,7 +57,7 @@ where
     S: RowSource + Send + ?Sized,
     C: ComponentSink,
 {
-    crate::pipeline::run_pipelined(source, band_rows, cfg, sink, None)
+    crate::pipeline::run_pipelined(source, band_rows, cfg, sink)
 }
 
 /// [`analyze_stream`] with the two-stage pipeline (see
@@ -97,24 +73,6 @@ where
     let mut records = Vec::new();
     let stats = label_stream_pipelined(source, band_rows, cfg, &mut records)?;
     Ok((records, stats))
-}
-
-/// [`stream_to_label_image`] with the two-stage pipeline (see
-/// [`label_stream_pipelined`]): labeled strips are emitted by the merge
-/// stage while the scan stage works one band ahead.
-pub fn stream_to_label_image_pipelined<S>(
-    source: &mut S,
-    band_rows: usize,
-    cfg: StripConfig,
-) -> Result<(LabelImage, StreamStats), StreamError>
-where
-    S: RowSource + Send + ?Sized,
-{
-    let mut components = CountComponents::default();
-    let mut strips = CollectLabelImage::default();
-    let stats =
-        crate::pipeline::run_pipelined(source, band_rows, cfg, &mut components, Some(&mut strips))?;
-    Ok((strips.into_label_image(), stats))
 }
 
 #[cfg(test)]
@@ -136,19 +94,5 @@ mod tests {
         assert_eq!(records.len(), 3);
         assert_eq!(stats.rows, 3);
         assert_eq!(stats.bands, 2);
-    }
-
-    #[test]
-    fn stream_to_label_image_matches_aremsp() {
-        let img = BinaryImage::parse(
-            "#.#
-             .#.
-             #.#",
-        );
-        let mut src = MemorySource::new(&img);
-        let (li, stats) = stream_to_label_image(&mut src, 1, StripConfig::default()).unwrap();
-        assert_eq!(stats.components, 1);
-        let reference = ccl_core::seq::aremsp(&img);
-        assert!(ccl_core::verify::labelings_equivalent(&li, &reference));
     }
 }

@@ -29,15 +29,16 @@
 //!   the grid labeler: inherently sequential, because each band's carry
 //!   feeds the next.
 //!
-//! The strip labeler only validates the band's width and adds its own
-//! output, the labeled strip.
+//! The strip labeler only validates the band's width. Labeled output is
+//! `ccl-tiles`': a strip is a one-column tile grid, so callers who want
+//! strip labels window their source with `GridSource::new(src, width,
+//! band_rows)`.
 
-use ccl_core::par::MergerKind;
 use ccl_image::BinaryImage;
 
-use crate::analysis::{ComponentSink, LabelSink};
+use crate::analysis::ComponentSink;
 use crate::error::StreamError;
-use crate::merge::{CarryMerge, ScannedRows};
+use crate::merge::CarryMerge;
 use crate::scan::scan_tile_row;
 
 /// Configuration for [`StripLabeler`] (and, as `TileGridConfig`, for the
@@ -46,16 +47,11 @@ use crate::scan::scan_tile_row;
 pub struct StripConfig {
     /// Worker threads for the in-band scan (1 = sequential AREMSP).
     pub threads: usize,
-    /// Boundary-merge implementation for the parallel mode.
-    pub merger: MergerKind,
 }
 
 impl Default for StripConfig {
     fn default() -> Self {
-        StripConfig {
-            threads: 1,
-            merger: MergerKind::default(),
-        }
+        StripConfig { threads: 1 }
     }
 }
 
@@ -67,16 +63,7 @@ impl StripConfig {
 
     /// PAREMSP across `threads` workers within each band.
     pub fn parallel(threads: usize) -> Self {
-        StripConfig {
-            threads,
-            ..StripConfig::default()
-        }
-    }
-
-    /// Builder: replaces the boundary-merge implementation.
-    pub fn with_merger(mut self, merger: MergerKind) -> Self {
-        self.merger = merger;
-        self
+        StripConfig { threads }
     }
 }
 
@@ -180,32 +167,6 @@ impl StripLabeler {
         band: &BinaryImage,
         components: &mut C,
     ) -> Result<(), StreamError> {
-        self.process(band, components, None)
-    }
-
-    /// Like [`Self::push_band`], additionally emitting the band's labeled
-    /// strip (and any id merges) through `labels`.
-    pub fn push_band_with_labels<C: ComponentSink, L: LabelSink>(
-        &mut self,
-        band: &BinaryImage,
-        components: &mut C,
-        labels: &mut L,
-    ) -> Result<(), StreamError> {
-        self.process(band, components, Some(labels))
-    }
-
-    /// Closes the stream: every still-open component is finalized and
-    /// emitted (ascending id), and the run's summary returned.
-    pub fn finish<C: ComponentSink + ?Sized>(self, components: &mut C) -> StreamStats {
-        self.merge.finish(components)
-    }
-
-    fn process(
-        &mut self,
-        band: &BinaryImage,
-        components: &mut dyn ComponentSink,
-        strips: Option<&mut dyn LabelSink>,
-    ) -> Result<(), StreamError> {
         let m = &self.merge;
         check_width(band, m.width())?;
         let carry_cap = m.open_components() as u32;
@@ -215,36 +176,21 @@ impl StripLabeler {
             carry_cap,
             m.rows_done(),
         );
-        self.merge_scanned_band(scanned, components, strips);
+        self.merge.merge(scanned, components, false);
         Ok(())
     }
 
-    /// The merge stage ([`CarryMerge::merge`]) plus the labeled strip.
-    /// Counterpart of [`scan_tile_row`]; the two called back-to-back are
-    /// exactly [`Self::push_band`], while the pipelined executor
-    /// ([`crate::pipeline`]) runs them on different threads, one band
-    /// apart.
-    pub(crate) fn merge_scanned_band(
-        &mut self,
-        band: ScannedRows,
-        components: &mut dyn ComponentSink,
-        strips: Option<&mut dyn LabelSink>,
-    ) {
-        let merged = self.merge.merge(band, components, strips.is_some());
-        if let (Some(sink), Some(out)) = (strips, merged) {
-            for &(kept, absorbed) in &out.merges {
-                sink.merge(kept, absorbed);
-            }
-            let gids = out.gids(&out.labels.bufs[0], self.merge.config().threads);
-            sink.strip(out.first_row, self.merge.width(), &gids);
-        }
+    /// Closes the stream: every still-open component is finalized and
+    /// emitted (ascending id), and the run's summary returned.
+    pub fn finish<C: ComponentSink + ?Sized>(self, components: &mut C) -> StreamStats {
+        self.merge.finish(components)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{CollectLabelImage, ComponentRecord, CountComponents};
+    use crate::analysis::{ComponentRecord, CountComponents};
 
     fn run_banded(
         img: &BinaryImage,
@@ -399,90 +345,10 @@ mod tests {
         let img = BinaryImage::from_fn(40, 57, |_, _| rnd());
         let (seq, seq_stats) = run_banded(&img, 9, StripConfig::sequential());
         for threads in [2, 3, 8] {
-            for merger in MergerKind::ALL {
-                let cfg = StripConfig::parallel(threads).with_merger(merger);
-                let (par, par_stats) = run_banded(&img, 9, cfg);
-                assert_eq!(par, seq, "{threads} threads, {merger}");
-                assert_eq!(par_stats, seq_stats);
-            }
+            let (par, par_stats) = run_banded(&img, 9, StripConfig::parallel(threads));
+            assert_eq!(par, seq, "{threads} threads");
+            assert_eq!(par_stats, seq_stats);
         }
-    }
-
-    #[test]
-    fn strips_reconcile_into_the_exact_partition() {
-        let img = BinaryImage::parse(
-            "#.#.#
-             #.#.#
-             #####
-             .....
-             ##.##",
-        );
-        let mut comps = CountComponents::default();
-        let mut strips = CollectLabelImage::default();
-        let mut labeler = StripLabeler::new(5);
-        for r in 0..img.height() {
-            labeler
-                .push_band_with_labels(&img.crop(r, 0, 5, 1), &mut comps, &mut strips)
-                .unwrap();
-        }
-        let stats = labeler.finish(&mut comps);
-        let li = strips.into_label_image();
-        assert_eq!(li.num_components() as u64, stats.components);
-        let reference = ccl_core::seq::aremsp(&img);
-        assert!(ccl_core::verify::labelings_equivalent(&li, &reference));
-    }
-
-    #[test]
-    fn strip_output_identical_across_thread_counts() {
-        let mut state = 5u64;
-        let mut rnd = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 40) & 1 == 1
-        };
-        let img = BinaryImage::from_fn(19, 23, |_, _| rnd());
-
-        #[derive(Default, PartialEq, Debug)]
-        struct Tape {
-            events: Vec<(u64, u64)>,
-            strips: Vec<(usize, Vec<u64>)>,
-        }
-        impl LabelSink for Tape {
-            fn merge(&mut self, kept: u64, absorbed: u64) {
-                self.events.push((kept, absorbed));
-            }
-            fn strip(&mut self, first_row: usize, _w: usize, gids: &[u64]) {
-                self.strips.push((first_row, gids.to_vec()));
-            }
-        }
-
-        let mut tapes = Vec::new();
-        for threads in [1, 3] {
-            let mut comps = CountComponents::default();
-            let mut tape = Tape::default();
-            let mut labeler =
-                StripLabeler::with_config(img.width(), StripConfig::parallel(threads));
-            let mut r = 0;
-            while r < img.height() {
-                let rows = 4.min(img.height() - r);
-                labeler
-                    .push_band_with_labels(
-                        &img.crop(r, 0, img.width(), rows),
-                        &mut comps,
-                        &mut tape,
-                    )
-                    .unwrap();
-                r += rows;
-            }
-            labeler.finish(&mut comps);
-            tapes.push(tape);
-        }
-        assert!(
-            !tapes[0].events.is_empty(),
-            "the image exercises carried merges"
-        );
-        assert_eq!(tapes[0], tapes[1]);
     }
 
     #[test]

@@ -30,9 +30,12 @@
 //!   bounding box, centroid, raster anchor, 4-neighbourhood perimeter
 //!   and Euler-characteristic hole count, emitted the moment a
 //!   component closes, **without ever materializing a label image**
-//!   (following Lemaitre & Lacassagne's on-the-fly analysis);
-//! * [`LabelSink`] / [`stream_to_label_image`] — optional labeled-strip
-//!   output for callers who do want labels.
+//!   (following Lemaitre & Lacassagne's on-the-fly analysis).
+//!
+//! Label output lives in `ccl-tiles`: a strip is a tile grid with one
+//! column, so callers who want labeled strips run
+//! `GridSource::new(source, width, band_rows)` through its
+//! `tiles_to_label_image` / `spill_tiles` drivers.
 //!
 //! ## Example
 //!
@@ -63,15 +66,9 @@ pub mod pipeline;
 pub mod scan;
 pub mod source;
 
-pub use analysis::{
-    Accum, CollectLabelImage, ComponentId, ComponentRecord, ComponentSink, CountComponents,
-    LabelSink,
-};
-pub use driver::{
-    analyze_stream, analyze_stream_pipelined, label_stream, label_stream_pipelined,
-    stream_to_label_image, stream_to_label_image_pipelined,
-};
+pub use analysis::{Accum, ComponentId, ComponentRecord, ComponentSink, CountComponents};
+pub use driver::{analyze_stream, analyze_stream_pipelined, label_stream, label_stream_pipelined};
 pub use error::StreamError;
 pub use labeler::{StreamStats, StripConfig, StripLabeler};
 pub use netpbm::{PbmSource, PgmSource};
-pub use source::{MemorySource, OwnedMemorySource, RowSource};
+pub use source::{MemorySource, RowSource};

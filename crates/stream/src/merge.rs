@@ -22,9 +22,10 @@
 //!    workers in parallel mode);
 //! 6. emits every closed component, ascending id.
 //!
-//! The scan before it is [`crate::scan`]; what stays with the caller is
-//! its own label output — strips for the strip labeler, per-tile buffers
-//! for the grid labeler — both resolved through [`MergedRows::gid`].
+//! The scan before it is [`crate::scan`]. The one caller that emits
+//! labels is the `ccl-tiles` grid labeler (a strip is a one-column grid):
+//! it asks for a [`MergedRows`] and resolves its per-tile buffers
+//! through [`MergedRows::gids`].
 //!
 //! Output never depends on the mode: the bookkeeping only sees
 //! set-minimum roots, which RemSP and the concurrent mergers agree on, and
@@ -35,12 +36,12 @@ use std::ops::Range;
 
 use ccl_core::par::MergerStore;
 use ccl_core::scan::{merge_seam, merge_seam_span, split_spans, Foldable as _, FoldingStore};
-use ccl_unionfind::par::ConcurrentParents;
+use ccl_unionfind::par::{ConcurrentParents, LockedMerger};
 use ccl_unionfind::{RemSP, UnionFind};
 
 use crate::analysis::{Accum, ComponentSink};
 use crate::labeler::{StreamStats, StripConfig};
-use crate::scan::{Merger, TileLabels};
+use crate::scan::TileLabels;
 
 /// Post-scan view of one band's equivalences: sequential RemSP or the
 /// parallel shared parent array. Both are Rem-family (parents ≤
@@ -117,9 +118,9 @@ fn fold_onto_roots(
 /// (the paper's phase 3, run here because it needs the carry row). A
 /// span's diagonal probes read the full carry row ([`merge_seam_span`]),
 /// so the partition merges exactly the same pairs as one whole-row call.
-fn carry_seam_parallel(carry: &[u32], top: &[u32], parents: &ConcurrentParents, cfg: &StripConfig) {
-    let merger = Merger::new(cfg);
-    let spans = split_spans(carry.len(), cfg.threads);
+fn carry_seam_parallel(carry: &[u32], top: &[u32], parents: &ConcurrentParents, threads: usize) {
+    let merger = LockedMerger::new();
+    let spans = split_spans(carry.len(), threads);
     if spans.len() <= 1 {
         merge_seam(carry, top, &mut MergerStore::new(parents, &merger));
         return;
@@ -401,7 +402,7 @@ impl CarryMerge {
             }
             BandUf::Par(parents) => {
                 if !carry.is_empty() {
-                    carry_seam_parallel(carry, &top, parents, &self.cfg);
+                    carry_seam_parallel(carry, &top, parents, self.cfg.threads);
                 }
                 // Any set holding a carried id is rooted at one: roots
                 // are set minima and carried ids occupy the low slots.

@@ -10,9 +10,9 @@
 //!   independent of everything before it, because carried ids are
 //!   reserved by the width bound [`carry_bound`] rather than the actual
 //!   open-component count;
-//! * **merge stage** — the carry-merge stage ([`crate::merge`]) plus the
-//!   caller's label output: inherently sequential, because each band's
-//!   carry feeds the next.
+//! * **merge stage** — the carry-merge stage ([`crate::merge`]) plus, for
+//!   tile rows, the caller's label output: inherently sequential, because
+//!   each band's carry feeds the next.
 //!
 //! The executor runs the scan stage on a worker thread and the merge
 //! stage on the caller's, handing scanned bands across a **rendezvous
@@ -31,10 +31,10 @@
 use std::any::Any;
 use std::sync::mpsc;
 
-use crate::analysis::{ComponentSink, LabelSink};
+use crate::analysis::ComponentSink;
 use crate::error::StreamError;
-use crate::labeler::{check_width, StreamStats, StripConfig, StripLabeler};
-use crate::merge::{carry_bound, ScannedRows};
+use crate::labeler::{check_width, StreamStats, StripConfig};
+use crate::merge::{carry_bound, CarryMerge, ScannedRows};
 use crate::scan::scan_tile_row;
 use crate::source::RowSource;
 
@@ -95,9 +95,8 @@ where
     Ok(max_pair + usize::from(bands >= 2))
 }
 
-/// Streams `source` through a strip labeler with [`run_scan_merge`].
-/// Output (components, merges, strips) is bit-identical to the
-/// synchronous drivers; only
+/// Streams `source` through the strip engine with [`run_scan_merge`].
+/// Components are bit-identical to the synchronous drivers; only
 /// [`StreamStats::peak_resident_rows`](crate::StreamStats) differs,
 /// reporting the pipeline's two-band + carry residency.
 pub(crate) fn run_pipelined<S>(
@@ -105,14 +104,13 @@ pub(crate) fn run_pipelined<S>(
     band_rows: usize,
     cfg: StripConfig,
     components: &mut dyn ComponentSink,
-    mut labels_sink: Option<&mut dyn LabelSink>,
 ) -> Result<StreamStats, StreamError>
 where
     S: RowSource + Send + ?Sized,
 {
     let width = source.width();
     let carry_cap = carry_bound(width);
-    let mut labeler = StripLabeler::with_config(width, cfg.clone());
+    let mut merge = CarryMerge::new(width, cfg.clone());
     let mut r0 = 0usize;
     let peak = run_scan_merge(
         || {
@@ -125,13 +123,12 @@ where
             Ok(Some(scanned))
         },
         |band| {
-            let sink = labels_sink.as_mut().map(|s| &mut **s as &mut dyn LabelSink);
-            labeler.merge_scanned_band(band, components, sink);
+            merge.merge(band, components, false);
             Ok(())
         },
         StreamError::worker_panic,
     )?;
-    let mut stats = labeler.finish(components);
+    let mut stats = merge.finish(components);
     stats.peak_resident_rows = peak;
     Ok(stats)
 }
@@ -139,8 +136,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{CollectLabelImage, ComponentRecord, CountComponents};
-    use crate::source::{MemorySource, OwnedMemorySource};
+    use crate::analysis::{ComponentRecord, CountComponents};
+    use crate::source::MemorySource;
     use ccl_image::BinaryImage;
 
     #[test]
@@ -157,34 +154,14 @@ mod tests {
         .unwrap();
 
         let mut records: Vec<ComponentRecord> = Vec::new();
-        let mut src = OwnedMemorySource::new(img.clone());
-        let stats = run_pipelined(&mut src, 4, StripConfig::default(), &mut records, None).unwrap();
+        let mut src = MemorySource::new(&img);
+        let stats = run_pipelined(&mut src, 4, StripConfig::default(), &mut records).unwrap();
         assert_eq!(records, sync_records);
         assert_eq!(stats.components, sync_stats.components);
         assert_eq!(stats.rows, sync_stats.rows);
         assert_eq!(stats.bands, sync_stats.bands);
         // two 4-row bands + the carry row
         assert_eq!(stats.peak_resident_rows, 2 * 4 + 1);
-    }
-
-    #[test]
-    fn pipelined_strips_reconcile_to_the_same_partition() {
-        let img = BinaryImage::from_fn(17, 29, |r, c| (r * 7 + c * 5) % 4 != 0);
-        let mut comps = CountComponents::default();
-        let mut strips = CollectLabelImage::default();
-        let mut src = OwnedMemorySource::new(img.clone());
-        let stats = run_pipelined(
-            &mut src,
-            3,
-            StripConfig::default(),
-            &mut comps,
-            Some(&mut strips),
-        )
-        .unwrap();
-        let li = strips.into_label_image();
-        assert_eq!(li.num_components() as u64, stats.components);
-        let reference = ccl_core::seq::aremsp(&img);
-        assert!(ccl_core::verify::labelings_equivalent(&li, &reference));
     }
 
     #[test]
@@ -209,7 +186,7 @@ mod tests {
         }
         let mut src = PanickingSource { left: 3 };
         let mut comps = CountComponents::default();
-        let err = run_pipelined(&mut src, 2, StripConfig::default(), &mut comps, None).unwrap_err();
+        let err = run_pipelined(&mut src, 2, StripConfig::default(), &mut comps).unwrap_err();
         match err {
             StreamError::Worker(msg) => assert!(msg.contains("exploded"), "{msg}"),
             other => panic!("expected Worker error, got {other:?}"),

@@ -17,7 +17,7 @@
 //! * **seams** — chunk-boundary rows merge with [`merge_seam`], the
 //!   columns between adjacent tiles with [`merge_seam_strided`] directly
 //!   over the per-tile buffers; in parallel mode across the workers with
-//!   the configured MERGER (Algorithm 8 or its CAS variant).
+//!   the paper's locked MERGER (Algorithm 8, [`LockedMerger`]).
 //!
 //! One thread scans into a single RemSP store ([`BandUf::Seq`]), more
 //! share a [`ConcurrentParents`] array ([`BandUf::Par`]). Carried ids
@@ -27,10 +27,10 @@
 
 use std::ops::Range;
 
-use ccl_core::par::{partition_rows, Chunk, MergerKind, MergerStore};
+use ccl_core::par::{partition_rows, Chunk, MergerStore};
 use ccl_core::scan::{merge_seam, merge_seam_strided, scan_two_line, split_spans};
 use ccl_image::BinaryImage;
-use ccl_unionfind::par::{CasMerger, ConcurrentMerger, ConcurrentParents, LockedMerger};
+use ccl_unionfind::par::{ConcurrentParents, LockedMerger};
 use ccl_unionfind::{EquivalenceStore, RemSP, UnionFind};
 
 use crate::analysis::Accum;
@@ -47,29 +47,6 @@ pub struct TileLabels {
     pub x0s: Vec<usize>,
     /// Per-tile label buffers.
     pub bufs: Vec<Vec<u32>>,
-}
-
-/// The configured concurrent MERGER, for the in-row seams here and the
-/// carry seam in the merge stage.
-pub(crate) struct Merger(Box<dyn ConcurrentMerger>);
-
-impl Merger {
-    pub(crate) fn new(cfg: &StripConfig) -> Self {
-        Merger(match cfg.merger {
-            MergerKind::Locked => Box::new(LockedMerger::new()),
-            MergerKind::Cas => Box::new(CasMerger::new()),
-        })
-    }
-}
-
-impl ConcurrentMerger for Merger {
-    fn merge(&self, parents: &ConcurrentParents, x: u32, y: u32) {
-        self.0.merge(parents, x, y);
-    }
-
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
 }
 
 /// A row chunk of tile `tile`, labeled into `labels` (that slice of the
@@ -187,7 +164,7 @@ pub fn scan_tile_row(
                 });
             }
         });
-        let merger = Merger::new(cfg);
+        let merger = LockedMerger::new();
         rayon::scope(|s| {
             for span in split_spans(seams.len(), threads) {
                 let (parents, merger, seams, bufs, widths) =

@@ -5,6 +5,8 @@
 //! ([`crate::netpbm`]) and the streamed synthetic generators
 //! ([`crate::generators`]).
 
+use std::borrow::Cow;
+
 use ccl_image::BinaryImage;
 
 use crate::error::StreamError;
@@ -26,56 +28,35 @@ pub trait RowSource {
 
 /// Adapts an in-memory [`BinaryImage`]: bands are copied out row ranges.
 /// Useful for testing band-size invariance and for feeding resident
-/// images through the streaming API.
+/// images through the streaming API. [`MemorySource::new`] borrows the
+/// image; [`MemorySource::owned`] takes it, giving the `'static` source
+/// a worker thread needs (e.g. behind a `ccl-pipeline` prefetcher).
 pub struct MemorySource<'a> {
-    image: &'a BinaryImage,
+    image: Cow<'a, BinaryImage>,
     next_row: usize,
 }
 
 impl<'a> MemorySource<'a> {
     /// Streams `image` from its first row.
     pub fn new(image: &'a BinaryImage) -> Self {
-        MemorySource { image, next_row: 0 }
+        MemorySource {
+            image: Cow::Borrowed(image),
+            next_row: 0,
+        }
+    }
+}
+
+impl MemorySource<'static> {
+    /// Streams `image` from its first row, taking ownership.
+    pub fn owned(image: BinaryImage) -> Self {
+        MemorySource {
+            image: Cow::Owned(image),
+            next_row: 0,
+        }
     }
 }
 
 impl RowSource for MemorySource<'_> {
-    fn width(&self) -> usize {
-        self.image.width()
-    }
-
-    fn rows_remaining(&self) -> Option<usize> {
-        Some(self.image.height() - self.next_row)
-    }
-
-    fn next_band(&mut self, max_rows: usize) -> Result<Option<BinaryImage>, StreamError> {
-        assert!(max_rows > 0, "band height must be positive");
-        let rows = max_rows.min(self.image.height() - self.next_row);
-        if rows == 0 {
-            return Ok(None);
-        }
-        let band = self.image.crop(self.next_row, 0, self.image.width(), rows);
-        self.next_row += rows;
-        Ok(Some(band))
-    }
-}
-
-/// Like [`MemorySource`], but owning its image — the `'static` variant
-/// required when a source is moved onto another thread (e.g. behind a
-/// `ccl-pipeline` prefetcher).
-pub struct OwnedMemorySource {
-    image: BinaryImage,
-    next_row: usize,
-}
-
-impl OwnedMemorySource {
-    /// Streams `image` from its first row, taking ownership.
-    pub fn new(image: BinaryImage) -> Self {
-        OwnedMemorySource { image, next_row: 0 }
-    }
-}
-
-impl RowSource for OwnedMemorySource {
     fn width(&self) -> usize {
         self.image.width()
     }
@@ -135,7 +116,7 @@ mod tests {
     fn owned_source_matches_borrowed_source() {
         let img = BinaryImage::from_fn(5, 7, |r, c| (r + 2 * c) % 3 == 0);
         let mut borrowed = MemorySource::new(&img);
-        let mut owned = OwnedMemorySource::new(img.clone());
+        let mut owned = MemorySource::owned(img.clone());
         assert_eq!(owned.width(), 5);
         loop {
             let a = borrowed.next_band(3).unwrap();

@@ -249,7 +249,7 @@ pub(crate) fn check_tile_row(tiles: &[BinaryImage], width: usize) -> Result<(), 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccl_core::par::MergerKind;
+    use crate::source::{GridSource, TileSource};
     use ccl_stream::{ComponentRecord, CountComponents};
 
     /// Tiles `img` into `tile_w × tile_h` tiles and runs the grid labeler.
@@ -259,7 +259,6 @@ mod tests {
         tile_h: usize,
         cfg: TileGridConfig,
     ) -> (Vec<ComponentRecord>, TileGridStats) {
-        use crate::source::{GridSource, TileSource};
         let mut sink: Vec<ComponentRecord> = Vec::new();
         let mut labeler = TileGridLabeler::with_config(img.width(), cfg);
         let mut src = GridSource::from_image(img, tile_w, tile_h);
@@ -365,13 +364,61 @@ mod tests {
         for tw in [7, 37] {
             let (seq, seq_stats) = run_tiled(&img, tw, 5, TileGridConfig::sequential());
             for threads in [2, 3, 8] {
-                for merger in MergerKind::ALL {
-                    let cfg = TileGridConfig::parallel(threads).with_merger(merger);
-                    let (par, par_stats) = run_tiled(&img, tw, 5, cfg);
-                    assert_eq!(par, seq, "{tw}x5 tiles, {threads} threads, {merger}");
-                    assert_eq!(par_stats, seq_stats);
-                }
+                let (par, par_stats) = run_tiled(&img, tw, 5, TileGridConfig::parallel(threads));
+                assert_eq!(par, seq, "{tw}x5 tiles, {threads} threads");
+                assert_eq!(par_stats, seq_stats);
             }
+        }
+    }
+
+    #[test]
+    fn label_output_identical_across_thread_counts() {
+        let mut state = 5u64;
+        let mut rnd = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 40) & 1 == 1
+        };
+        let img = BinaryImage::from_fn(19, 23, |_, _| rnd());
+
+        /// Every label-output event, in emission order.
+        #[derive(Default, PartialEq, Debug)]
+        struct Tape {
+            merges: Vec<(u64, u64)>,
+            tiles: Vec<(TileMeta, Vec<u64>)>,
+        }
+        impl TileSink for Tape {
+            fn merge(&mut self, kept: u64, absorbed: u64) {
+                self.merges.push((kept, absorbed));
+            }
+            fn tile(&mut self, meta: &TileMeta, gids: &[u64]) -> Result<(), TilesError> {
+                self.tiles.push((*meta, gids.to_vec()));
+                Ok(())
+            }
+        }
+
+        // one tile column (a strip in 4-row bands) and a 5x4 grid
+        for tw in [img.width(), 5] {
+            let tapes = [1, 3].map(|threads| {
+                let mut comps = CountComponents::default();
+                let mut tape = Tape::default();
+                let cfg = TileGridConfig::parallel(threads);
+                let mut labeler = TileGridLabeler::with_config(img.width(), cfg);
+                let mut src = GridSource::from_image(&img, tw, 4);
+                while let Some(tiles) = src.next_tile_row().unwrap() {
+                    labeler
+                        .push_tile_row_with_labels(&tiles, &mut comps, &mut tape)
+                        .unwrap();
+                }
+                labeler.finish(&mut comps);
+                tape
+            });
+            assert!(
+                !tapes[0].merges.is_empty(),
+                "{tw}-wide tiles: the image exercises carried merges"
+            );
+            assert_eq!(tapes[0], tapes[1], "{tw}-wide tiles");
         }
     }
 
@@ -390,8 +437,7 @@ mod tests {
         let img = BinaryImage::from_fn(64, 64, |r, _| r % 2 == 0);
         let mut sink = CountComponents::default();
         let mut labeler = TileGridLabeler::new(64);
-        let mut src = crate::source::GridSource::from_image(&img, 16, 2);
-        use crate::source::TileSource;
+        let mut src = GridSource::from_image(&img, 16, 2);
         while let Some(tiles) = src.next_tile_row().unwrap() {
             labeler.push_tile_row(&tiles, &mut sink).unwrap();
             assert!(labeler.open_components() <= 1);
@@ -462,7 +508,7 @@ mod tests {
 
         // Rows without pixels hold nothing resident, in every driver.
         let img = BinaryImage::zeros(0, 8);
-        let grid = || crate::source::GridSource::from_image(&img, 4, 4);
+        let grid = || GridSource::from_image(&img, 4, 4);
         let cfg = TileGridConfig::default;
         let sync = crate::driver::label_tiles(&mut grid(), cfg(), &mut sink).unwrap();
         let piped = crate::driver::label_tiles_pipelined(&mut grid(), cfg(), &mut sink).unwrap();

@@ -28,7 +28,9 @@
 //!   images, incremental Netpbm files, streamed generators;
 //! * [`TileGridLabeler`] — the engine (see [`labeler`]);
 //! * [`TileSink`] / [`CollectTiles`] / [`SpillSink`] — labeled-tile
-//!   output, in memory or spilled ([`sink`]);
+//!   output, in memory or spilled ([`sink`]): the engine's one
+//!   label-output path, strips included — a strip is a one-column grid,
+//!   `GridSource::new(rows, width, band_rows)`;
 //! * [`analyze_tiles`] / [`label_tiles`] / [`tiles_to_label_image`] /
 //!   [`spill_tiles`] — whole-stream drivers;
 //! * the `*_pipelined` drivers — the same, with row *k + 1*'s tile scans

@@ -114,6 +114,26 @@ fn blit(gids: &mut [u64], width: usize, meta: &TileMeta, tile: &[ComponentId]) {
     }
 }
 
+/// The final id of every absorbed id in a merge table. Merges always
+/// keep the smaller id (`kept < absorbed`, which [`read_manifest`]
+/// checks), so following `absorbed → kept` chains terminates.
+fn resolve_merges(merges: &[(ComponentId, ComponentId)]) -> HashMap<ComponentId, ComponentId> {
+    let parent: HashMap<ComponentId, ComponentId> = merges
+        .iter()
+        .map(|&(kept, absorbed)| (absorbed, kept))
+        .collect();
+    parent
+        .keys()
+        .map(|&absorbed| {
+            let mut id = absorbed;
+            while let Some(&p) = parent.get(&id) {
+                id = p;
+            }
+            (absorbed, id)
+        })
+        .collect()
+}
+
 /// Resolves merge chains and canonically renumbers a gid raster into a
 /// [`LabelImage`] (consecutive labels by raster order of first pixel).
 fn reconcile(
@@ -122,17 +142,7 @@ fn reconcile(
     gids: Vec<u64>,
     merges: &[(ComponentId, ComponentId)],
 ) -> LabelImage {
-    // merges always keep the smaller id, so absorbed -> kept terminates
-    let mut parent: HashMap<ComponentId, ComponentId> = HashMap::new();
-    for &(kept, absorbed) in merges {
-        parent.insert(absorbed, kept);
-    }
-    let resolve = |mut id: ComponentId| {
-        while let Some(&p) = parent.get(&id) {
-            id = p;
-        }
-        id
-    };
+    let finals = resolve_merges(merges);
     let mut remap: HashMap<ComponentId, u32> = HashMap::new();
     let mut next = 0u32;
     let labels: Vec<u32> = gids
@@ -141,7 +151,7 @@ fn reconcile(
             if g == 0 {
                 0
             } else {
-                let root = resolve(g);
+                let root = finals.get(&g).copied().unwrap_or(g);
                 *remap.entry(root).or_insert_with(|| {
                     next += 1;
                     next
@@ -252,38 +262,6 @@ impl SpillSink {
         self.tiles.len()
     }
 
-    fn tile_path(dir: &Path, format: SpillFormat, meta: &TileMeta) -> PathBuf {
-        dir.join(format!(
-            "tile_{:05}_{:05}.{}",
-            meta.tile_row,
-            meta.tile_col,
-            format.extension()
-        ))
-    }
-
-    fn write_tile(&self, meta: &TileMeta, gids: &[u64]) -> Result<(), TilesError> {
-        let path = Self::tile_path(&self.dir, self.format, meta);
-        let limit = self.format.limit();
-        if let Some(&bad) = gids.iter().find(|&&g| g > limit) {
-            return Err(TilesError::LabelOverflow { gid: bad, limit });
-        }
-        let bytes = match self.format {
-            SpillFormat::RawU32 => {
-                let mut out = Vec::with_capacity(gids.len() * 4);
-                for &g in gids {
-                    out.extend_from_slice(&(g as u32).to_le_bytes());
-                }
-                out
-            }
-            SpillFormat::Pgm16 => {
-                let samples: Vec<u16> = gids.iter().map(|&g| g as u16).collect();
-                pgm::write_binary16(meta.width, meta.height, &samples)
-            }
-        };
-        fs::write(path, bytes)?;
-        Ok(())
-    }
-
     /// Finalizes the spill: writes the sidecar manifest, then patches
     /// every tile whose ids were absorbed by a merge — one tile resident
     /// at a time — so the on-disk rasters carry final component ids.
@@ -299,19 +277,7 @@ impl SpillSink {
         };
         write_manifest(&self.dir, &manifest)?;
 
-        // resolve map: absorbed id -> final id (chains collapsed)
-        let mut parent: HashMap<u64, u64> = HashMap::new();
-        for &(kept, absorbed) in &manifest.merges {
-            parent.insert(absorbed, kept);
-        }
-        let mut finals: HashMap<u64, u64> = HashMap::new();
-        for &absorbed in parent.keys() {
-            let mut id = absorbed;
-            while let Some(&p) = parent.get(&id) {
-                id = p;
-            }
-            finals.insert(absorbed, id);
-        }
+        let finals = resolve_merges(&manifest.merges);
         if !finals.is_empty() {
             for meta in &manifest.tiles {
                 patch_tile(&self.dir, manifest.format, meta, &finals)?;
@@ -327,10 +293,48 @@ impl TileSink for SpillSink {
     }
 
     fn tile(&mut self, meta: &TileMeta, gids: &[ComponentId]) -> Result<(), TilesError> {
-        self.write_tile(meta, gids)?;
+        write_tile(&self.dir, self.format, meta, gids)?;
         self.tiles.push(*meta);
         Ok(())
     }
+}
+
+/// Path of one spilled tile inside `dir`.
+fn tile_path(dir: &Path, format: SpillFormat, meta: &TileMeta) -> PathBuf {
+    dir.join(format!(
+        "tile_{:05}_{:05}.{}",
+        meta.tile_row,
+        meta.tile_col,
+        format.extension()
+    ))
+}
+
+/// Writes one tile of component ids to its file in `dir`.
+fn write_tile(
+    dir: &Path,
+    format: SpillFormat,
+    meta: &TileMeta,
+    gids: &[u64],
+) -> Result<(), TilesError> {
+    let limit = format.limit();
+    if let Some(&bad) = gids.iter().find(|&&g| g > limit) {
+        return Err(TilesError::LabelOverflow { gid: bad, limit });
+    }
+    let bytes = match format {
+        SpillFormat::RawU32 => {
+            let mut out = Vec::with_capacity(gids.len() * 4);
+            for &g in gids {
+                out.extend_from_slice(&(g as u32).to_le_bytes());
+            }
+            out
+        }
+        SpillFormat::Pgm16 => {
+            let samples: Vec<u16> = gids.iter().map(|&g| g as u16).collect();
+            pgm::write_binary16(meta.width, meta.height, &samples)
+        }
+    };
+    fs::write(tile_path(dir, format, meta), bytes)?;
+    Ok(())
 }
 
 /// Rewrites one spilled tile with absorbed ids mapped to their final ids.
@@ -341,8 +345,7 @@ fn patch_tile(
     meta: &TileMeta,
     finals: &HashMap<u64, u64>,
 ) -> Result<(), TilesError> {
-    let path = SpillSink::tile_path(dir, format, meta);
-    let mut gids = read_tile(&path, format, meta)?;
+    let mut gids = read_tile(&tile_path(dir, format, meta), format, meta)?;
     let mut changed = false;
     for g in gids.iter_mut() {
         if let Some(&f) = finals.get(g) {
@@ -353,13 +356,7 @@ fn patch_tile(
     if changed {
         // final ids are always the *smaller* of a merged pair, so
         // patching can never overflow the format
-        let sink = SpillSink {
-            dir: dir.to_path_buf(),
-            format,
-            tiles: Vec::new(),
-            merges: Vec::new(),
-        };
-        sink.write_tile(meta, &gids)?;
+        write_tile(dir, format, meta, &gids)?;
     }
     Ok(())
 }
@@ -449,8 +446,10 @@ pub fn read_manifest(dir: impl AsRef<Path>) -> Result<SpillManifest, TilesError>
     let format = SpillFormat::parse(&field(&next_line()?, "format")?)?;
     let width = parse_usize(&field(&next_line()?, "width")?)?;
     let rows = parse_usize(&field(&next_line()?, "rows")?)?;
+    // Counts are only trusted as far as lines back them: the vectors
+    // grow as lines parse, so a hostile count ends at end of file.
     let ntiles = parse_usize(&field(&next_line()?, "tiles")?)?;
-    let mut tiles = Vec::with_capacity(ntiles);
+    let mut tiles = Vec::new();
     for _ in 0..ntiles {
         let line = next_line()?;
         let body = field(&line, "tile")?;
@@ -473,7 +472,7 @@ pub fn read_manifest(dir: impl AsRef<Path>) -> Result<SpillManifest, TilesError>
         });
     }
     let nmerges = parse_usize(&field(&next_line()?, "merges")?)?;
-    let mut merges = Vec::with_capacity(nmerges);
+    let mut merges = Vec::new();
     for _ in 0..nmerges {
         let line = next_line()?;
         let body = field(&line, "merge")?;
@@ -484,19 +483,21 @@ pub fn read_manifest(dir: impl AsRef<Path>) -> Result<SpillManifest, TilesError>
                     .map_err(|_| TilesError::Manifest(format!("invalid id {s:?}")))
             })
             .collect::<Result<_, _>>()?;
-        if nums.len() != 2 {
+        if nums.len() != 2 || nums[0] >= nums[1] {
             return Err(TilesError::Manifest(format!(
-                "malformed merge line {line:?}"
+                "malformed merge line {line:?} (kept < absorbed)"
             )));
         }
         merges.push((nums[0], nums[1]));
     }
     // Self-consistency: every declared placement must fit the declared
-    // extent (and the extent itself must be addressable), so downstream
-    // readers can allocate and blit without bounds surprises.
-    width
+    // extent, and the placements must cover it exactly (checked
+    // arithmetic), so a reader allocates only what the tiles declare and
+    // blits without bounds surprises.
+    let area = width
         .checked_mul(rows)
         .ok_or_else(|| TilesError::Manifest(format!("extent {width}x{rows} overflows")))?;
+    let mut covered = 0usize;
     for m in &tiles {
         let fits = m
             .col0
@@ -511,6 +512,15 @@ pub fn read_manifest(dir: impl AsRef<Path>) -> Result<SpillManifest, TilesError>
                 m.width, m.height, m.row0, m.col0
             )));
         }
+        // fits the extent, so the product cannot overflow
+        covered = covered
+            .checked_add(m.width * m.height)
+            .ok_or_else(|| TilesError::Manifest("tile areas overflow".into()))?;
+    }
+    if covered != area {
+        return Err(TilesError::Manifest(format!(
+            "tiles cover {covered} pixels of the declared {width}x{rows} extent"
+        )));
     }
     Ok(SpillManifest {
         format,
@@ -542,10 +552,31 @@ pub fn temp_spill_dir(tag: &str) -> PathBuf {
 pub fn read_spilled_label_image(dir: impl AsRef<Path>) -> Result<LabelImage, TilesError> {
     let dir = dir.as_ref();
     let manifest = read_manifest(dir)?;
+    // No raster before the files back the manifest's numbers: each tile
+    // file must hold at least its samples' bytes.
+    let sample_bytes = match manifest.format {
+        SpillFormat::RawU32 => 4,
+        SpillFormat::Pgm16 => 2,
+    };
+    for meta in &manifest.tiles {
+        let path = tile_path(dir, manifest.format, meta);
+        let need = (meta.width as u64)
+            .saturating_mul(meta.height as u64)
+            .saturating_mul(sample_bytes);
+        let have = fs::metadata(&path)?.len();
+        if have < need {
+            return Err(TilesError::Manifest(format!(
+                "tile {} has {have} bytes, its {}x{} samples need {need}",
+                path.display(),
+                meta.width,
+                meta.height
+            )));
+        }
+    }
     let mut gids = vec![0u64; manifest.width * manifest.rows];
     for meta in &manifest.tiles {
         let tile = read_tile(
-            &SpillSink::tile_path(dir, manifest.format, meta),
+            &tile_path(dir, manifest.format, meta),
             manifest.format,
             meta,
         )?;
@@ -580,15 +611,50 @@ mod tests {
 
     #[test]
     fn collect_tiles_reconciles_merges() {
-        let mut sink = CollectTiles::default();
-        sink.tile(&meta(0, 0, 0, 0, 2, 1), &[1, 0]).unwrap();
-        sink.tile(&meta(0, 1, 0, 2, 1, 1), &[2]).unwrap();
-        sink.merge(1, 2);
-        sink.tile(&meta(1, 0, 1, 0, 2, 1), &[1, 1]).unwrap();
-        sink.tile(&meta(1, 1, 1, 2, 1, 1), &[2]).unwrap();
-        let li = sink.into_label_image();
+        // tile row 0, then the merges tile row 0 left open, then tile row 1
+        let collect =
+            |row0: &[(TileMeta, &[u64])], merges: &[(u64, u64)], row1: &[(TileMeta, &[u64])]| {
+                let mut sink = CollectTiles::default();
+                for (m, gids) in row0 {
+                    sink.tile(m, gids).unwrap();
+                }
+                for &(kept, absorbed) in merges {
+                    sink.merge(kept, absorbed);
+                }
+                for (m, gids) in row1 {
+                    sink.tile(m, gids).unwrap();
+                }
+                sink.into_label_image()
+            };
+
+        // a 2x2 grid: the merge joins the two tile columns
+        let li = collect(
+            &[
+                (meta(0, 0, 0, 0, 2, 1), &[1, 0]),
+                (meta(0, 1, 0, 2, 1, 1), &[2]),
+            ],
+            &[(1, 2)],
+            &[
+                (meta(1, 0, 1, 0, 2, 1), &[1, 1]),
+                (meta(1, 1, 1, 2, 1, 1), &[2]),
+            ],
+        );
         assert_eq!(li.num_components(), 1);
         assert_eq!(li.as_slice(), &[1, 0, 1, 1, 1, 1]);
+
+        // one tile column with a chained merge: 3 -> 2 -> 1
+        let li = collect(
+            &[(meta(0, 0, 0, 0, 5, 1), &[1, 0, 2, 0, 3])],
+            &[(2, 3), (1, 2)],
+            &[(meta(1, 0, 1, 0, 5, 1), &[0, 1, 0, 0, 0])],
+        );
+        assert_eq!(li.num_components(), 1);
+        assert_eq!(li.as_slice(), &[1, 0, 1, 0, 1, 0, 1, 0, 0, 0]);
+
+        // nothing emitted at all
+        let li = collect(&[], &[], &[]);
+        assert_eq!(li.num_components(), 0);
+        assert_eq!((li.width(), li.height()), (0, 0));
     }
 
     #[test]
@@ -610,7 +676,7 @@ mod tests {
         let back = read_manifest(&dir).unwrap();
         assert_eq!(back, manifest);
         let raw = read_tile(
-            &SpillSink::tile_path(&dir, SpillFormat::RawU32, &back.tiles[1]),
+            &tile_path(&dir, SpillFormat::RawU32, &back.tiles[1]),
             SpillFormat::RawU32,
             &back.tiles[1],
         )
@@ -632,12 +698,7 @@ mod tests {
         let manifest = sink.close().unwrap();
         assert_eq!(manifest.format, SpillFormat::Pgm16);
         // the spilled tile is a well-formed 16-bit PGM
-        let bytes = fs::read(SpillSink::tile_path(
-            &dir,
-            SpillFormat::Pgm16,
-            &manifest.tiles[0],
-        ))
-        .unwrap();
+        let bytes = fs::read(tile_path(&dir, SpillFormat::Pgm16, &manifest.tiles[0])).unwrap();
         let (w, h, samples) = pgm::read_binary16(&bytes).unwrap();
         assert_eq!((w, h), (3, 1));
         assert_eq!(samples, vec![1, 0, 1]); // patched
@@ -670,14 +731,8 @@ mod tests {
             merges: vec![(1, 2)],
         };
         write_manifest(&dir, &manifest).unwrap();
-        let sink = SpillSink {
-            dir: dir.clone(),
-            format: SpillFormat::RawU32,
-            tiles: Vec::new(),
-            merges: Vec::new(),
-        };
-        sink.write_tile(&tiles[0], &[1, 1]).unwrap();
-        sink.write_tile(&tiles[1], &[2, 2]).unwrap();
+        write_tile(&dir, SpillFormat::RawU32, &tiles[0], &[1, 1]).unwrap();
+        write_tile(&dir, SpillFormat::RawU32, &tiles[1], &[2, 2]).unwrap();
         let li = read_spilled_label_image(&dir).unwrap();
         assert_eq!(li.num_components(), 1);
         assert_eq!(li.as_slice(), &[1, 1, 1, 1]);
@@ -691,12 +746,20 @@ mod tests {
         assert!(read_manifest(&dir).is_err()); // missing file
         fs::write(dir.join(MANIFEST_NAME), "not a manifest\n").unwrap();
         assert!(read_manifest(&dir).is_err());
-        fs::write(
-            dir.join(MANIFEST_NAME),
+        // a non-number, counts no line backs (they must not be allocated
+        // up front), and a merge that does not keep the smaller id (a
+        // chain that could cycle)
+        let head = format!("{MANIFEST_MAGIC}\nformat raw-u32\nwidth 1\nrows 1\n");
+        for body in [
             format!("{MANIFEST_MAGIC}\nformat raw-u32\nwidth x\n"),
-        )
-        .unwrap();
-        assert!(read_manifest(&dir).is_err());
+            format!("{head}tiles 1000000000000\ntile 0 0 0 0 1 1\n"),
+            format!("{head}tiles 1\ntile 0 0 0 0 1 1\nmerges 1000000000000\nmerge 1 2\n"),
+            format!("{head}tiles 1\ntile 0 0 0 0 1 1\nmerges 2\nmerge 1 2\nmerge 2 1\n"),
+        ] {
+            fs::write(dir.join(MANIFEST_NAME), body).unwrap();
+            let err = read_manifest(&dir).unwrap_err();
+            assert!(matches!(err, TilesError::Manifest(_)), "{err}");
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -704,19 +767,37 @@ mod tests {
     fn manifest_rejects_tiles_exceeding_declared_extent() {
         // a 4-wide tile in a declared 2x1 grid must be Err, not a panic
         // in the reader's blit
+        // in the reader's blit; so must an extent the tiles do not cover
+        // (a 10^12-pixel raster behind one 1x1 tile)
         let dir = temp_dir("oob");
         fs::create_dir_all(&dir).unwrap();
+        for (extent, tile) in [("2\nrows 1", "4 1"), ("1000000\nrows 1000000", "1 1")] {
+            fs::write(
+                dir.join(MANIFEST_NAME),
+                format!(
+                    "{MANIFEST_MAGIC}\nformat raw-u32\nwidth {extent}\ntiles 1\n\
+                     tile 0 0 0 0 {tile}\nmerges 0\n"
+                ),
+            )
+            .unwrap();
+            let err = read_manifest(&dir).unwrap_err();
+            assert!(matches!(err, TilesError::Manifest(_)), "{err}");
+            assert!(read_spilled_label_image(&dir).is_err());
+        }
+        // a consistent manifest whose tile file is too short to back it:
+        // refused before the 10^12-pixel raster is allocated
         fs::write(
             dir.join(MANIFEST_NAME),
             format!(
-                "{MANIFEST_MAGIC}\nformat raw-u32\nwidth 2\nrows 1\ntiles 1\n\
-                 tile 0 0 0 0 4 1\nmerges 0\n"
+                "{MANIFEST_MAGIC}\nformat raw-u32\nwidth 1000000\nrows 1000000\ntiles 1\n\
+                 tile 0 0 0 0 1000000 1000000\nmerges 0\n"
             ),
         )
         .unwrap();
-        let err = read_manifest(&dir).unwrap_err();
+        let tile = read_manifest(&dir).unwrap().tiles[0];
+        fs::write(tile_path(&dir, SpillFormat::RawU32, &tile), [0u8; 4]).unwrap();
+        let err = read_spilled_label_image(&dir).unwrap_err();
         assert!(matches!(err, TilesError::Manifest(_)), "{err}");
-        assert!(read_spilled_label_image(&dir).is_err());
         fs::remove_dir_all(&dir).unwrap();
     }
 }

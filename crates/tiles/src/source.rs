@@ -137,9 +137,9 @@ impl<S: RowSource> TileSource for GridSource<S> {
             None => return Ok(None),
         };
         let w = band.width();
-        if w == 0 {
-            // degenerate zero-width stream: one empty "tile" keeps the row
-            // accounting alive without special-casing every consumer
+        if w <= self.tile_width {
+            // a band that fits one tile (a strip's one-column grid, or a
+            // zero-width stream) is handed through uncopied
             return Ok(Some(vec![band]));
         }
         let mut tiles = Vec::with_capacity(w.div_ceil(self.tile_width));
@@ -160,27 +160,32 @@ mod tests {
     #[test]
     fn grid_source_tiles_cover_the_image() {
         let img = BinaryImage::from_fn(7, 5, |r, c| (r * 7 + c) % 3 == 0);
-        let mut src = GridSource::from_image(&img, 3, 2);
-        assert_eq!(src.width(), 7);
-        assert_eq!(src.tile_cols(), 3);
-        assert_eq!(src.rows_remaining(), Some(5));
-        let mut r0 = 0;
-        while let Some(tiles) = src.next_tile_row().unwrap() {
-            let widths: Vec<usize> = tiles.iter().map(BinaryImage::width).collect();
-            assert_eq!(widths, vec![3, 3, 1]);
-            let th = tiles[0].height();
-            assert!(tiles.iter().all(|t| t.height() == th));
-            for r in 0..th {
-                for (t, x0) in tiles.iter().zip([0usize, 3, 6]) {
-                    for c in 0..t.width() {
-                        assert_eq!(t.get(r, c), img.get(r0 + r, x0 + c));
+        // clipped at the right edge, and one tile column (the band itself)
+        for (tw, widths) in [(3, vec![3, 3, 1]), (7, vec![7]), (9, vec![7])] {
+            let mut src = GridSource::from_image(&img, tw, 2);
+            assert_eq!(src.width(), 7);
+            assert_eq!(src.tile_cols(), widths.len());
+            assert_eq!(src.rows_remaining(), Some(5));
+            let mut r0 = 0;
+            while let Some(tiles) = src.next_tile_row().unwrap() {
+                let got: Vec<usize> = tiles.iter().map(BinaryImage::width).collect();
+                assert_eq!(got, widths, "{tw}-wide tiles");
+                let th = tiles[0].height();
+                assert!(tiles.iter().all(|t| t.height() == th));
+                let mut x0 = 0;
+                for t in &tiles {
+                    for r in 0..th {
+                        for c in 0..t.width() {
+                            assert_eq!(t.get(r, c), img.get(r0 + r, x0 + c));
+                        }
                     }
+                    x0 += t.width();
                 }
+                r0 += th;
             }
-            r0 += th;
+            assert_eq!(r0, 5);
+            assert_eq!(src.rows_remaining(), Some(0));
         }
-        assert_eq!(r0, 5);
-        assert_eq!(src.rows_remaining(), Some(0));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 # local runs and CI cannot drift. `just ci` is the full gate.
 
 # Full CI gate: everything the workflow runs, in the same order.
-ci: fmt-check clippy build test perfbench-test doc smoke stream-smoke tiles-smoke pipeline-smoke fold-smoke stress bench-smoke clean-tree
+ci: fmt-check clippy build test perfbench-test doc smoke stream-smoke tiles-smoke examples-smoke pipeline-smoke fold-smoke stress bench-smoke clean-tree
 
 # Format the whole workspace in place.
 fmt:
@@ -44,6 +44,14 @@ stream-smoke:
 # Run the tile-grid spill (ccl-tiles) example end to end.
 tiles-smoke:
     cargo run --locked --release --example tiles_outofcore
+
+# Run the four remaining examples end to end (the Netpbm round-trip
+# writes its images under target/).
+examples-smoke:
+    cargo run --locked --release --example pipeline_netpbm
+    cargo run --locked --release --example document_components
+    cargo run --locked --release --example landcover_analysis
+    cargo run --locked --release --example scaling_demo
 
 # Run the prefetch/pipeline (ccl-pipeline) example and a quick
 # pipeline_demo sweep end to end.
