@@ -60,6 +60,21 @@ pub fn write_binary16(width: usize, height: usize, samples: &[u16]) -> Vec<u8> {
 /// *not* rescaled to the maxval — because the consumer here (`ccl-tiles`)
 /// stores discrete labels, not luminance.
 pub fn read_binary16(data: &[u8]) -> Result<(usize, usize, Vec<u16>), ImageError> {
+    let (width, height, samples) = read_binary16_header(data)?;
+    let samples: Vec<u16> = data[samples]
+        .chunks_exact(2)
+        .map(|b| u16::from_be_bytes([b[0], b[1]]))
+        .collect();
+    Ok((width, height, samples))
+}
+
+/// Parses the header of a 16-bit binary PGM (as [`read_binary16`] does)
+/// and returns its dimensions and the byte range of its `width * height`
+/// big-endian samples, which the data is checked to hold — so a caller
+/// can read or patch the samples in place.
+pub fn read_binary16_header(
+    data: &[u8],
+) -> Result<(usize, usize, std::ops::Range<usize>), ImageError> {
     let mut pos = 0usize;
     let magic = next_token(data, &mut pos)?;
     if magic != b"P5" {
@@ -84,11 +99,7 @@ pub fn read_binary16(data: &[u8]) -> Result<(usize, usize, Vec<u16>), ImageError
     if data.len() - pos < need {
         return Err(ImageError::Parse("truncated 16-bit P5 sample data".into()));
     }
-    let samples: Vec<u16> = data[pos..pos + need]
-        .chunks_exact(2)
-        .map(|b| u16::from_be_bytes([b[0], b[1]]))
-        .collect();
-    Ok((width, height, samples))
+    Ok((width, height, pos..pos + need))
 }
 
 /// Parses either PGM format, dispatching on the magic number.

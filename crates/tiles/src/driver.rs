@@ -62,14 +62,15 @@ where
         labeler.push_tile_row_with_labels(&row, &mut components, &mut tiles)?;
     }
     let stats = labeler.finish(&mut components);
-    Ok((tiles.into_label_image(), stats))
+    Ok((tiles.into_label_image()?, stats))
 }
 
 /// The fully out-of-core pipeline: streams `source` through the grid
 /// labeler while spilling every labeled tile to `dir` via [`SpillSink`],
-/// then closes the sink (sidecar manifest + final-label patching). Both
-/// input and output stay bounded-memory; reconstruct the partition later
-/// with [`read_spilled_label_image`](crate::sink::read_spilled_label_image).
+/// then closes the sink (final-label patching, then the sidecar
+/// manifest). Both input and output stay bounded-memory; reconstruct the
+/// partition later with
+/// [`read_spilled_label_image`](crate::sink::read_spilled_label_image).
 pub fn spill_tiles<S>(
     source: &mut S,
     cfg: TileGridConfig,
@@ -134,7 +135,7 @@ where
     let mut components = CountComponents::default();
     let mut tiles = CollectTiles::default();
     let stats = crate::pipeline::run_pipelined(source, cfg, &mut components, Some(&mut tiles))?;
-    Ok((tiles.into_label_image(), stats))
+    Ok((tiles.into_label_image()?, stats))
 }
 
 /// [`spill_tiles`] with the two-stage pipeline (see

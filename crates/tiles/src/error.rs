@@ -35,7 +35,9 @@ pub enum TilesError {
         /// The format's largest representable id.
         limit: u64,
     },
-    /// The spill sidecar manifest is missing or malformed.
+    /// The spill sidecar manifest is missing or malformed, a spilled tile
+    /// does not match it, or a merge table breaks the
+    /// [`TileSink`](crate::TileSink) contract.
     Manifest(String),
     /// The pipelined tile-scan stage died without producing a tile row —
     /// typically a panic in the tile source; the payload is the panic

@@ -9,19 +9,33 @@
 //!   [`LabelImage`] (tests and callers with memory to spare);
 //! * [`SpillSink`] — the out-of-core path: tiles are **spilled to disk**
 //!   as raw little-endian `u32` rasters or 16-bit PGM (`P5`, maxval
-//!   65535), a sidecar manifest records the grid geometry and the merge
-//!   table, and [`SpillSink::close`] patches the spilled files to final
-//!   labels one tile at a time — output memory stays O(tile), matching
-//!   the labeler's input bound.
+//!   65535), and [`SpillSink::close`] runs the second pass: it patches
+//!   the spilled files to final labels one tile at a time — output
+//!   memory stays O(tile), matching the labeler's input bound — and
+//!   only then writes a sidecar manifest recording the grid geometry and
+//!   the merge table.
+//!
+//! The second pass costs a table lookup per pixel, as in the paper. The
+//! merge table is resolved once into a sorted `(absorbed, final)` table
+//! (Komura's label-equivalence resolution at tile granularity); each
+//! pixel skips it when its id lies outside the absorbed range, reuses
+//! the previous answer across runs of equal ids, and binary-searches it
+//! otherwise. `close` reads each tile into one reused byte buffer,
+//! patches the samples in place and writes the file back only if one
+//! changed. [`CollectTiles`] and [`read_spilled_label_image`] resolve
+//! with the same table.
 //!
 //! The sidecar is a line-oriented text format (`manifest.txt`) so it
-//! round-trips without a JSON parser; [`read_manifest`] and
-//! [`read_spilled_label_image`] reconstruct the exact partition from the
-//! spilled tiles plus the merge table.
+//! round-trips without a JSON parser. It is written last, through a
+//! temporary file and a rename, so a spill directory with a manifest is
+//! a finished one. [`read_manifest`] and [`read_spilled_label_image`]
+//! reconstruct the exact partition from the spilled tiles plus the merge
+//! table.
 
 use std::collections::HashMap;
 use std::fs;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use ccl_core::label::LabelImage;
@@ -52,7 +66,7 @@ pub struct TileMeta {
 /// emission time; [`TileSink::merge`] reports every later unification
 /// (always before the tiles of the band that discovered it), so a
 /// consumer that union-finds the merge pairs obtains the exact final
-/// partition.
+/// partition. Each id is absorbed at most once.
 pub trait TileSink {
     /// Two previously emitted ids turned out to be one component; `kept`
     /// (the smaller) survives.
@@ -84,8 +98,10 @@ impl TileSink for CollectTiles {
 
 impl CollectTiles {
     /// Applies the recorded merges and renumbers components canonically
-    /// (consecutive `1..=k` by raster order of first pixel).
-    pub fn into_label_image(self) -> LabelImage {
+    /// (consecutive `1..=k` by raster order of first pixel). A merge that
+    /// does not keep the smaller id, or absorbs an id twice, is a
+    /// [`TilesError::Manifest`].
+    pub fn into_label_image(self) -> Result<LabelImage, TilesError> {
         let (width, height) = extent(self.tiles.iter().map(|(m, _)| m));
         let mut gids = vec![0u64; width * height];
         for (meta, tile) in &self.tiles {
@@ -114,24 +130,75 @@ fn blit(gids: &mut [u64], width: usize, meta: &TileMeta, tile: &[ComponentId]) {
     }
 }
 
-/// The final id of every absorbed id in a merge table. Merges always
-/// keep the smaller id (`kept < absorbed`, which [`read_manifest`]
-/// checks), so following `absorbed → kept` chains terminates.
-fn resolve_merges(merges: &[(ComponentId, ComponentId)]) -> HashMap<ComponentId, ComponentId> {
-    let parent: HashMap<ComponentId, ComponentId> = merges
+/// Resolves a merge table once: the final id of every absorbed id, as
+/// `(absorbed, final)` sorted by absorbed id. Every merge must keep the
+/// smaller id (`kept < absorbed`) and absorb an id at most once — the
+/// labeler's contract; a table that breaks it is a
+/// [`TilesError::Manifest`]. Sorted, an entry's `kept` id, being
+/// smaller, is resolved before the entry itself, so one pass finishes
+/// every chain.
+fn resolve_merges(
+    merges: &[(ComponentId, ComponentId)],
+) -> Result<Vec<(ComponentId, ComponentId)>, TilesError> {
+    let mut table: Vec<_> = merges
         .iter()
         .map(|&(kept, absorbed)| (absorbed, kept))
         .collect();
-    parent
-        .keys()
-        .map(|&absorbed| {
-            let mut id = absorbed;
-            while let Some(&p) = parent.get(&id) {
-                id = p;
-            }
-            (absorbed, id)
-        })
-        .collect()
+    table.sort_unstable();
+    for i in 0..table.len() {
+        let (absorbed, kept) = table[i];
+        if kept >= absorbed {
+            return Err(TilesError::Manifest(format!(
+                "merge {kept} {absorbed} does not keep the smaller id"
+            )));
+        }
+        if i > 0 && table[i - 1].0 == absorbed {
+            return Err(TilesError::Manifest(format!(
+                "id {absorbed} is absorbed twice"
+            )));
+        }
+        if let Ok(j) = table[..i].binary_search_by_key(&kept, |&(a, _)| a) {
+            table[i].1 = table[j].1;
+        }
+    }
+    Ok(table)
+}
+
+/// Per-pixel lookup into a table from [`resolve_merges`]: ids outside
+/// the absorbed range pass through, a run of equal ids reuses the last
+/// answer, and anything else is one binary search.
+struct FinalIds<'a> {
+    table: &'a [(ComponentId, ComponentId)],
+    min: ComponentId,
+    max: ComponentId,
+    /// The last id looked up and its final id (0 is never absorbed).
+    last: (ComponentId, ComponentId),
+}
+
+impl<'a> FinalIds<'a> {
+    fn new(table: &'a [(ComponentId, ComponentId)]) -> Self {
+        FinalIds {
+            table,
+            min: table.first().map_or(ComponentId::MAX, |e| e.0),
+            max: table.last().map_or(0, |e| e.0),
+            last: (0, 0),
+        }
+    }
+
+    #[inline]
+    fn get(&mut self, id: ComponentId) -> ComponentId {
+        if id < self.min || id > self.max {
+            return id;
+        }
+        if id != self.last.0 {
+            let fin = match self.table.binary_search_by_key(&id, |&(a, _)| a) {
+                Ok(i) => self.table[i].1,
+                Err(_) => id,
+            };
+            self.last = (id, fin);
+        }
+        self.last.1
+    }
 }
 
 /// Resolves merge chains and canonically renumbers a gid raster into a
@@ -141,8 +208,9 @@ fn reconcile(
     height: usize,
     gids: Vec<u64>,
     merges: &[(ComponentId, ComponentId)],
-) -> LabelImage {
-    let finals = resolve_merges(merges);
+) -> Result<LabelImage, TilesError> {
+    let table = resolve_merges(merges)?;
+    let mut finals = FinalIds::new(&table);
     let mut remap: HashMap<ComponentId, u32> = HashMap::new();
     let mut next = 0u32;
     let labels: Vec<u32> = gids
@@ -151,15 +219,14 @@ fn reconcile(
             if g == 0 {
                 0
             } else {
-                let root = finals.get(&g).copied().unwrap_or(g);
-                *remap.entry(root).or_insert_with(|| {
+                *remap.entry(finals.get(g)).or_insert_with(|| {
                     next += 1;
                     next
                 })
             }
         })
         .collect();
-    LabelImage::from_raw(width, height, labels, next)
+    Ok(LabelImage::from_raw(width, height, labels, next))
 }
 
 /// On-disk encoding of a spilled tile.
@@ -179,6 +246,35 @@ impl SpillFormat {
         match self {
             SpillFormat::RawU32 => u32::MAX as u64,
             SpillFormat::Pgm16 => u16::MAX as u64,
+        }
+    }
+
+    /// Bytes per stored sample.
+    fn sample_bytes(self) -> usize {
+        match self {
+            SpillFormat::RawU32 => 4,
+            SpillFormat::Pgm16 => 2,
+        }
+    }
+
+    /// Decodes one stored sample (`sample_bytes` long) into an id.
+    #[inline]
+    fn decode(self, sample: &[u8]) -> ComponentId {
+        match self {
+            SpillFormat::RawU32 => {
+                u32::from_le_bytes([sample[0], sample[1], sample[2], sample[3]]).into()
+            }
+            SpillFormat::Pgm16 => u16::from_be_bytes([sample[0], sample[1]]).into(),
+        }
+    }
+
+    /// Encodes an id (within [`limit`](Self::limit)) into one stored
+    /// sample.
+    #[inline]
+    fn encode(self, id: ComponentId, sample: &mut [u8]) {
+        match self {
+            SpillFormat::RawU32 => sample.copy_from_slice(&(id as u32).to_le_bytes()),
+            SpillFormat::Pgm16 => sample.copy_from_slice(&(id as u16).to_be_bytes()),
         }
     }
 
@@ -218,10 +314,11 @@ pub struct SpillManifest {
     /// Placement of every spilled tile, in emission (row-major) order.
     pub tiles: Vec<TileMeta>,
     /// The merge table: every `(kept, absorbed)` id unification, in
-    /// emission order. After [`SpillSink::close`] the tile files already
-    /// carry final ids, but the table is kept as the sidecar of record so
-    /// a reader can reconstruct the partition from *unpatched* spills too
-    /// (resolution is idempotent).
+    /// emission order; each id is absorbed at most once. After
+    /// [`SpillSink::close`] the tile files already carry final ids, but
+    /// the table is kept as the sidecar of record so a reader can
+    /// reconstruct the partition from *unpatched* spills too (resolution
+    /// is idempotent).
     pub merges: Vec<(ComponentId, ComponentId)>,
 }
 
@@ -240,10 +337,17 @@ pub struct SpillSink {
 }
 
 impl SpillSink {
-    /// Creates the spill directory (and parents) and an empty sink.
+    /// Creates the spill directory (and parents) and an empty sink. A
+    /// manifest left in `dir` by an earlier spill is removed, so the
+    /// directory holds a manifest again only once [`close`](Self::close)
+    /// succeeds.
     pub fn create(dir: impl Into<PathBuf>, format: SpillFormat) -> Result<Self, TilesError> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
+        match fs::remove_file(dir.join(MANIFEST_NAME)) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
+            _ => {}
+        }
         Ok(SpillSink {
             dir,
             format,
@@ -262,11 +366,28 @@ impl SpillSink {
         self.tiles.len()
     }
 
-    /// Finalizes the spill: writes the sidecar manifest, then patches
-    /// every tile whose ids were absorbed by a merge — one tile resident
-    /// at a time — so the on-disk rasters carry final component ids.
-    /// Returns the manifest.
+    /// Finalizes the spill — the second pass. Resolves the merge table
+    /// once, then patches every tile in place so the on-disk rasters
+    /// carry final component ids: each file is read into one reused
+    /// buffer (O(tile) memory), every sample is one table lookup, and a
+    /// file is written back only if a sample changed. The sidecar
+    /// manifest is written last (temporary file, then rename), so a
+    /// close that fails leaves no manifest. Returns the manifest.
     pub fn close(self) -> Result<SpillManifest, TilesError> {
+        let table = resolve_merges(&self.merges)?;
+        if !table.is_empty() {
+            let mut finals = FinalIds::new(&table);
+            let mut buf = Vec::new();
+            for meta in &self.tiles {
+                let path = tile_path(&self.dir, self.format, meta);
+                let samples = load_tile(&path, self.format, meta, &mut buf)?;
+                // final ids are always the *smaller* of a merged pair, so
+                // patching can never overflow the format
+                if patch_samples(self.format, &mut buf[samples], &mut finals) {
+                    fs::write(&path, &buf)?;
+                }
+            }
+        }
         let (width, rows) = extent(self.tiles.iter());
         let manifest = SpillManifest {
             format: self.format,
@@ -276,13 +397,6 @@ impl SpillSink {
             merges: self.merges,
         };
         write_manifest(&self.dir, &manifest)?;
-
-        let finals = resolve_merges(&manifest.merges);
-        if !finals.is_empty() {
-            for meta in &manifest.tiles {
-                patch_tile(&self.dir, manifest.format, meta, &finals)?;
-            }
-        }
         Ok(manifest)
     }
 }
@@ -337,51 +451,47 @@ fn write_tile(
     Ok(())
 }
 
-/// Rewrites one spilled tile with absorbed ids mapped to their final ids.
-/// Skips the write when nothing in the tile changed.
-fn patch_tile(
-    dir: &Path,
-    format: SpillFormat,
-    meta: &TileMeta,
-    finals: &HashMap<u64, u64>,
-) -> Result<(), TilesError> {
-    let mut gids = read_tile(&tile_path(dir, format, meta), format, meta)?;
+/// Maps every absorbed id among a tile's stored samples to its final id,
+/// in place. Returns whether any sample changed.
+fn patch_samples(format: SpillFormat, samples: &mut [u8], finals: &mut FinalIds) -> bool {
     let mut changed = false;
-    for g in gids.iter_mut() {
-        if let Some(&f) = finals.get(g) {
-            *g = f;
+    for sample in samples.chunks_exact_mut(format.sample_bytes()) {
+        let id = format.decode(sample);
+        let fin = finals.get(id);
+        if fin != id {
+            format.encode(fin, sample);
             changed = true;
         }
     }
-    if changed {
-        // final ids are always the *smaller* of a merged pair, so
-        // patching can never overflow the format
-        write_tile(dir, format, meta, &gids)?;
-    }
-    Ok(())
+    changed
 }
 
-/// Reads one spilled tile back into component ids.
-fn read_tile(path: &Path, format: SpillFormat, meta: &TileMeta) -> Result<Vec<u64>, TilesError> {
-    let bytes = fs::read(path)?;
-    let expected = meta.width * meta.height;
+/// Reads one spilled tile's file into `buf`, reusing its allocation,
+/// and checks that it holds the tile's `width × height` samples: a raw
+/// tile exactly that many bytes, a PGM tile a matching header. Returns
+/// the byte range of the samples within `buf`.
+fn load_tile(
+    path: &Path,
+    format: SpillFormat,
+    meta: &TileMeta,
+    buf: &mut Vec<u8>,
+) -> Result<Range<usize>, TilesError> {
+    buf.clear();
+    fs::File::open(path)?.read_to_end(buf)?;
     match format {
         SpillFormat::RawU32 => {
-            if bytes.len() != expected * 4 {
+            let expected = meta.width * meta.height * 4;
+            if buf.len() != expected {
                 return Err(TilesError::Manifest(format!(
-                    "tile {} has {} bytes, expected {}",
+                    "tile {} has {} bytes, expected {expected}",
                     path.display(),
-                    bytes.len(),
-                    expected * 4
+                    buf.len(),
                 )));
             }
-            Ok(bytes
-                .chunks_exact(4)
-                .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as u64)
-                .collect())
+            Ok(0..expected)
         }
         SpillFormat::Pgm16 => {
-            let (w, h, samples) = pgm::read_binary16(&bytes)?;
+            let (w, h, samples) = pgm::read_binary16_header(buf)?;
             if (w, h) != (meta.width, meta.height) {
                 return Err(TilesError::Manifest(format!(
                     "tile {} is {w}x{h}, expected {}x{}",
@@ -390,7 +500,7 @@ fn read_tile(path: &Path, format: SpillFormat, meta: &TileMeta) -> Result<Vec<u6
                     meta.height
                 )));
             }
-            Ok(samples.into_iter().map(u64::from).collect())
+            Ok(samples)
         }
     }
 }
@@ -413,8 +523,10 @@ fn write_manifest(dir: &Path, manifest: &SpillManifest) -> Result<(), TilesError
     for &(kept, absorbed) in &manifest.merges {
         out.push_str(&format!("merge {kept} {absorbed}\n"));
     }
-    let mut f = fs::File::create(dir.join(MANIFEST_NAME))?;
-    f.write_all(out.as_bytes())?;
+    // a reader never sees a half-written manifest
+    let tmp = dir.join(format!("{MANIFEST_NAME}.tmp"));
+    fs::write(&tmp, out)?;
+    fs::rename(&tmp, dir.join(MANIFEST_NAME))?;
     Ok(())
 }
 
@@ -483,13 +595,16 @@ pub fn read_manifest(dir: impl AsRef<Path>) -> Result<SpillManifest, TilesError>
                     .map_err(|_| TilesError::Manifest(format!("invalid id {s:?}")))
             })
             .collect::<Result<_, _>>()?;
-        if nums.len() != 2 || nums[0] >= nums[1] {
+        if nums.len() != 2 {
             return Err(TilesError::Manifest(format!(
-                "malformed merge line {line:?} (kept < absorbed)"
+                "malformed merge line {line:?}"
             )));
         }
         merges.push((nums[0], nums[1]));
     }
+    // every merge keeps the smaller id (so chains cannot cycle) and
+    // absorbs an id at most once
+    resolve_merges(&merges)?;
     // Self-consistency: every declared placement must fit the declared
     // extent, and the placements must cover it exactly (checked
     // arithmetic), so a reader allocates only what the tiles declare and
@@ -554,15 +669,12 @@ pub fn read_spilled_label_image(dir: impl AsRef<Path>) -> Result<LabelImage, Til
     let manifest = read_manifest(dir)?;
     // No raster before the files back the manifest's numbers: each tile
     // file must hold at least its samples' bytes.
-    let sample_bytes = match manifest.format {
-        SpillFormat::RawU32 => 4,
-        SpillFormat::Pgm16 => 2,
-    };
+    let format = manifest.format;
     for meta in &manifest.tiles {
-        let path = tile_path(dir, manifest.format, meta);
+        let path = tile_path(dir, format, meta);
         let need = (meta.width as u64)
             .saturating_mul(meta.height as u64)
-            .saturating_mul(sample_bytes);
+            .saturating_mul(format.sample_bytes() as u64);
         let have = fs::metadata(&path)?.len();
         if have < need {
             return Err(TilesError::Manifest(format!(
@@ -573,21 +685,20 @@ pub fn read_spilled_label_image(dir: impl AsRef<Path>) -> Result<LabelImage, Til
             )));
         }
     }
-    let mut gids = vec![0u64; manifest.width * manifest.rows];
+    let width = manifest.width;
+    let mut gids = vec![0u64; width * manifest.rows];
+    let mut buf = Vec::new();
     for meta in &manifest.tiles {
-        let tile = read_tile(
-            &tile_path(dir, manifest.format, meta),
-            manifest.format,
-            meta,
-        )?;
-        blit(&mut gids, manifest.width, meta, &tile);
+        let samples = load_tile(&tile_path(dir, format, meta), format, meta, &mut buf)?;
+        let mut samples = buf[samples].chunks_exact(format.sample_bytes());
+        for r in 0..meta.height {
+            let dst = (meta.row0 + r) * width + meta.col0;
+            for (g, sample) in gids[dst..dst + meta.width].iter_mut().zip(&mut samples) {
+                *g = format.decode(sample);
+            }
+        }
     }
-    Ok(reconcile(
-        manifest.width,
-        manifest.rows,
-        gids,
-        &manifest.merges,
-    ))
+    reconcile(width, manifest.rows, gids, &manifest.merges)
 }
 
 #[cfg(test)]
@@ -624,7 +735,7 @@ mod tests {
                 for (m, gids) in row1 {
                     sink.tile(m, gids).unwrap();
                 }
-                sink.into_label_image()
+                sink.into_label_image().unwrap()
             };
 
         // a 2x2 grid: the merge joins the two tile columns
@@ -655,6 +766,24 @@ mod tests {
         let li = collect(&[], &[], &[]);
         assert_eq!(li.num_components(), 0);
         assert_eq!((li.width(), li.height()), (0, 0));
+
+        // an id absorbed twice breaks the sink contract: an error, not a
+        // wrong partition
+        let mut sink = CollectTiles::default();
+        sink.tile(&meta(0, 0, 0, 0, 3, 1), &[1, 2, 3]).unwrap();
+        sink.merge(1, 3);
+        sink.merge(2, 3);
+        let err = sink.into_label_image().unwrap_err();
+        assert!(matches!(err, TilesError::Manifest(_)), "{err}");
+    }
+
+    /// The ids stored in a spilled raw-`u32` tile file.
+    fn raw_ids(dir: &Path, meta: &TileMeta) -> Vec<u64> {
+        fs::read(tile_path(dir, SpillFormat::RawU32, meta))
+            .unwrap()
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]).into())
+            .collect()
     }
 
     #[test]
@@ -675,17 +804,50 @@ mod tests {
         // files were patched: absorbed id 3 no longer appears
         let back = read_manifest(&dir).unwrap();
         assert_eq!(back, manifest);
-        let raw = read_tile(
-            &tile_path(&dir, SpillFormat::RawU32, &back.tiles[1]),
-            SpillFormat::RawU32,
-            &back.tiles[1],
-        )
-        .unwrap();
-        assert_eq!(raw, vec![0, 2, 2, 0]);
+        assert_eq!(raw_ids(&dir, &back.tiles[1]), vec![0, 2, 2, 0]);
 
         let li = read_spilled_label_image(&dir).unwrap();
         assert_eq!(li.num_components(), 2);
         assert_eq!(li.as_slice(), &[1, 0, 0, 2, 1, 2, 2, 0, 0, 2, 2, 0]);
+        fs::remove_dir_all(&dir).unwrap();
+
+        // a chained merge among the largest ids the format holds, patched
+        // in place as little-endian samples
+        let dir = temp_dir("raw_max");
+        let top = u64::from(u32::MAX);
+        let mut sink = SpillSink::create(&dir, SpillFormat::RawU32).unwrap();
+        let tile = meta(0, 0, 0, 0, 4, 1);
+        sink.tile(&tile, &[top - 2, 0, top - 1, top]).unwrap();
+        sink.merge(top - 1, top);
+        sink.merge(top - 2, top - 1);
+        sink.close().unwrap();
+        assert_eq!(raw_ids(&dir, &tile), vec![top - 2, 0, top - 2, top - 2]);
+        let li = read_spilled_label_image(&dir).unwrap();
+        assert_eq!(li.as_slice(), &[1, 0, 1, 1]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_close_leaves_no_manifest() {
+        let dir = temp_dir("failed_close");
+        let tiles = [meta(0, 0, 0, 0, 2, 1), meta(0, 1, 0, 2, 2, 1)];
+        // a finished spill, then a second one into the same directory
+        // whose close cannot patch: the old manifest must not survive
+        for run in 0..2 {
+            let mut sink = SpillSink::create(&dir, SpillFormat::RawU32).unwrap();
+            sink.tile(&tiles[0], &[1, 0]).unwrap();
+            sink.tile(&tiles[1], &[0, 2]).unwrap();
+            sink.merge(1, 2);
+            if run == 0 {
+                sink.close().unwrap();
+                assert!(dir.join(MANIFEST_NAME).exists());
+            } else {
+                fs::remove_file(tile_path(&dir, SpillFormat::RawU32, &tiles[1])).unwrap();
+                assert!(sink.close().is_err());
+                assert!(!dir.join(MANIFEST_NAME).exists());
+                assert!(read_spilled_label_image(&dir).is_err());
+            }
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -747,14 +909,20 @@ mod tests {
         fs::write(dir.join(MANIFEST_NAME), "not a manifest\n").unwrap();
         assert!(read_manifest(&dir).is_err());
         // a non-number, counts no line backs (they must not be allocated
-        // up front), and a merge that does not keep the smaller id (a
-        // chain that could cycle)
+        // up front), a merge that does not keep the smaller id (a chain
+        // that could cycle), and an id absorbed twice (union-finding the
+        // pairs of `[1, 2, 3]` gives one component; following each
+        // absorbed id to one kept id would give two)
         let head = format!("{MANIFEST_MAGIC}\nformat raw-u32\nwidth 1\nrows 1\n");
         for body in [
             format!("{MANIFEST_MAGIC}\nformat raw-u32\nwidth x\n"),
             format!("{head}tiles 1000000000000\ntile 0 0 0 0 1 1\n"),
             format!("{head}tiles 1\ntile 0 0 0 0 1 1\nmerges 1000000000000\nmerge 1 2\n"),
             format!("{head}tiles 1\ntile 0 0 0 0 1 1\nmerges 2\nmerge 1 2\nmerge 2 1\n"),
+            format!(
+                "{MANIFEST_MAGIC}\nformat raw-u32\nwidth 3\nrows 1\ntiles 1\n\
+                 tile 0 0 0 0 3 1\nmerges 2\nmerge 1 3\nmerge 2 3\n"
+            ),
         ] {
             fs::write(dir.join(MANIFEST_NAME), body).unwrap();
             let err = read_manifest(&dir).unwrap_err();

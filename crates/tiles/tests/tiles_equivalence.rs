@@ -22,8 +22,9 @@ use ccl_stream::{
     analyze_stream, analyze_stream_pipelined, ComponentRecord, MemorySource, StripConfig,
 };
 use ccl_tiles::{
-    analyze_tiles, analyze_tiles_pipelined, read_spilled_label_image, spill_tiles, temp_spill_dir,
-    tiles_to_label_image, GridSource, SpillFormat, TileGridConfig,
+    analyze_tiles, analyze_tiles_pipelined, read_spilled_label_image, spill_tiles,
+    spill_tiles_pipelined, temp_spill_dir, tiles_to_label_image, GridSource, SpillFormat,
+    TileGridConfig,
 };
 
 /// One image per synthetic generator family (mirrors the `ccl-stream`
@@ -275,6 +276,47 @@ proptest! {
         let reference = aremsp(&img);
         prop_assert_eq!(stats.components, reference.num_components() as u64);
         prop_assert!(labelings_equivalent(&li, &reference));
+    }
+
+    /// A closed spill's tile files hold final ids: the spill reads back
+    /// as the AREMSP partition, and still does once the manifest's merge
+    /// table is emptied, so the reader can no longer re-apply the merges
+    /// a wrong or missing patch left out — both formats, any thread
+    /// count, synchronous and pipelined.
+    #[test]
+    fn spilled_files_hold_final_ids(
+        gen in 0usize..NUM_GENERATORS,
+        w in 1usize..=18,
+        h in 1usize..=18,
+        tw in 1usize..=19,
+        th in 1usize..=19,
+        pgm in proptest::bool::ANY,
+        threads in 1usize..=4,
+        pipelined in proptest::bool::ANY,
+        seed in 0u64..1000,
+    ) {
+        let img = generator_image(gen, w, h, seed);
+        let reference = aremsp(&img);
+        let format = if pgm { SpillFormat::Pgm16 } else { SpillFormat::RawU32 };
+        let cfg = TileGridConfig::parallel(threads);
+        let dir = temp_spill_dir("it_final_ids");
+        let mut src = GridSource::from_image(&img, tw, th);
+        if pipelined {
+            spill_tiles_pipelined(&mut src, cfg, &dir, format).unwrap();
+        } else {
+            spill_tiles(&mut src, cfg, &dir, format).unwrap();
+        }
+        let ctx = format!("generator {gen} tiles {tw}x{th} {format:?} threads {threads} pipelined {pipelined}");
+        let li = read_spilled_label_image(&dir).unwrap();
+        prop_assert!(labelings_equivalent(&li, &reference), "{}", ctx);
+
+        let path = dir.join("manifest.txt");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let geometry = &text[..text.find("merges ").unwrap()];
+        std::fs::write(&path, format!("{geometry}merges 0\n")).unwrap();
+        let li = read_spilled_label_image(&dir).unwrap();
+        prop_assert!(labelings_equivalent(&li, &reference), "merges dropped: {}", ctx);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 

@@ -2,7 +2,7 @@
 # local runs and CI cannot drift. `just ci` is the full gate.
 
 # Full CI gate: everything the workflow runs, in the same order.
-ci: fmt-check clippy build test perfbench-test doc smoke stream-smoke tiles-smoke examples-smoke pipeline-smoke fold-smoke stress bench-smoke clean-tree
+ci: fmt-check clippy build test perfbench-test doc smoke stream-smoke tiles-smoke examples-smoke pipeline-smoke fold-smoke stress bench-smoke perfbench-smoke clean-tree
 
 # Format the whole workspace in place.
 fmt:
@@ -69,6 +69,18 @@ fold-smoke:
 # Compile all ten criterion benches without running them.
 bench-smoke:
     cargo bench --locked --no-run --workspace
+
+# Run each perfbench workload for 1 s with its full-size oracle check.
+# perfbench exits 0 on an incorrect run, so the verdict on its last
+# line is checked. Run files go to the ignored .perfbench/.
+perfbench-smoke:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    for w in paremsp_nlcd strip_pbm_analyze tiles_spill_nlcd; do
+      out=$(cargo run --release --quiet --offline --locked --manifest-path perfbench/Cargo.toml -- --workload "$w" --seed 1 --seconds 1 --trace 0)
+      echo "$out"
+      echo "$out" | tail -n 1 | grep -q '"correct": true'
+    done
 
 # CI's last gate: fails when any step above left tracked or unignored
 # files behind (run it on a committed tree).
