@@ -1,11 +1,11 @@
 //! Ablation A1 — the union-find choice (the paper's central design
-//! decision): the same two-line scan over RemSP, link-by-rank+PC,
-//! link-by-size, link-by-min and He's equivalence table, on a merge-heavy
-//! noise image and a region-heavy landcover image.
+//! decision): the same two-line scan over RemSP, link-by-rank+PC and
+//! He's equivalence table, on a merge-heavy noise image and a
+//! region-heavy landcover image.
 //!
 //! Expected shape: RemSP fastest (the paper's claim, after
 //! Patwary–Blair–Manne); He's table competitive on few-merge inputs but
-//! degrading with merge rate; rank/size paying for the extra array.
+//! degrading with merge rate; rank paying for the extra array.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -13,7 +13,7 @@ use std::hint::black_box;
 use ccl_core::seq::{two_pass_with, ScanStrategy};
 use ccl_datasets::synth::landcover::{landcover, LandcoverParams};
 use ccl_datasets::synth::noise::bernoulli;
-use ccl_unionfind::{HeEquivalence, MinUF, RankUF, RemSP, SizeUF};
+use ccl_unionfind::{HeEquivalence, RankUF, RemSP};
 
 fn bench_unionfind(c: &mut Criterion) {
     let images = vec![
@@ -35,12 +35,6 @@ fn bench_unionfind(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("rank-pc", name), img, |b, img| {
             b.iter(|| black_box(two_pass_with::<RankUF>(img, ScanStrategy::TwoLine)))
-        });
-        group.bench_with_input(BenchmarkId::new("size-pc", name), img, |b, img| {
-            b.iter(|| black_box(two_pass_with::<SizeUF>(img, ScanStrategy::TwoLine)))
-        });
-        group.bench_with_input(BenchmarkId::new("min", name), img, |b, img| {
-            b.iter(|| black_box(two_pass_with::<MinUF>(img, ScanStrategy::TwoLine)))
         });
         group.bench_with_input(BenchmarkId::new("he-table", name), img, |b, img| {
             b.iter(|| black_box(two_pass_with::<HeEquivalence>(img, ScanStrategy::TwoLine)))

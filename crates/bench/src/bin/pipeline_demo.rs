@@ -15,10 +15,8 @@
 //!
 //! asserting identical component counts throughout and reporting wall
 //! time + speedup per mode. The JSON snapshot
-//! (`results/BENCH_pipeline.json`) and a `BENCH_HISTORY.jsonl` line next
-//! to it (the committed `results/` log by default) record the
-//! prefetch-on/off pair so the overlap win is visible in the perf
-//! trajectory.
+//! (`results/BENCH_pipeline.json` by default) records the prefetch-on/off
+//! pair.
 //!
 //! ```text
 //! cargo run --release -p ccl-bench --bin pipeline_demo \
@@ -194,7 +192,5 @@ fn main() {
         std::fs::create_dir_all(dir).expect("create results dir");
     }
     write_json(&json_path, &result).expect("write json");
-    let history =
-        ccl_bench::append_history(&json_path, "pipeline_demo", &result).expect("append history");
-    eprintln!("wrote {json_path} (+ {})", history.display());
+    eprintln!("wrote {json_path}");
 }

@@ -1,10 +1,9 @@
 //! Runs the full reproduction sweep (Tables II–IV, Figures 4–5) plus the
 //! streaming and tile-grid demos in one process, and writes JSON results
-//! under `results/` — including the trajectory snapshots the repo tracks
-//! across commits: `BENCH_paremsp.json` (PAREMSP phase-timed thread
-//! sweep), `BENCH_stream.json` / `BENCH_tiles.json` (bounded-memory
-//! out-of-core throughput, written by the demo children) and the
-//! append-only `BENCH_HISTORY.jsonl` line log behind all of them.
+//! under the git-ignored `results/`: one file per table or figure, plus
+//! `BENCH_paremsp.json` (PAREMSP phase-timed thread sweep) and
+//! `BENCH_stream.json` / `BENCH_tiles.json` (bounded-memory out-of-core
+//! throughput, written by the demo children).
 //!
 //! ```text
 //! cargo run --release -p ccl-bench --bin repro_all [--scale F] [--reps N]
@@ -115,7 +114,6 @@ fn main() {
     let snapshot = paremsp_snapshot(args.scale, args.reps);
     let json_path = "results/BENCH_paremsp.json";
     write_json(json_path, &snapshot).expect("write BENCH_paremsp.json");
-    ccl_bench::append_history(json_path, "repro_all/paremsp", &snapshot).expect("append history");
     println!(
         "  {} ({:.1} Mpixel): 1t {:.1} ms -> 24t {:.1} ms",
         snapshot.image,

@@ -7,9 +7,9 @@
 //! throughput stays flat — the bounded-memory claim, measured.
 //!
 //! Timings include row generation (the stream is produced on the fly and
-//! never materialized), so the metric is end-to-end pipeline throughput —
-//! stable across runs and comparable across commits via the JSON
-//! snapshot (`results/BENCH_stream.json` by default).
+//! never materialized), so the metric is end-to-end pipeline throughput,
+//! written to the JSON snapshot (`results/BENCH_stream.json` by
+//! default).
 //!
 //! ```text
 //! cargo run --release -p ccl-bench --bin stream_demo \
@@ -190,7 +190,5 @@ fn main() {
         std::fs::create_dir_all(dir).expect("create results dir");
     }
     write_json(&json_path, &result).expect("write json");
-    let history =
-        ccl_bench::append_history(&json_path, "stream_demo", &result).expect("append history");
-    eprintln!("wrote {json_path} (+ {})", history.display());
+    eprintln!("wrote {json_path}");
 }

@@ -10,11 +10,10 @@
 //! table, patched on close) at the smallest height.
 //!
 //! Timings include row generation, so the metric is end-to-end pipeline
-//! throughput, comparable across commits via the JSON snapshot
-//! (`results/BENCH_tiles.json`) and a history line in the
-//! `BENCH_HISTORY.jsonl` next to it. `--prefetch` generates on a worker
-//! thread: `GridSource` windows a `PrefetchRows` that pulls one band per
-//! tile row; `--pipeline` runs the pipelined scan ∥ merge executor.
+//! throughput, written to the JSON snapshot (`results/BENCH_tiles.json`
+//! by default). `--prefetch` generates on a worker thread: `GridSource`
+//! windows a `PrefetchRows` that pulls one band per tile row;
+//! `--pipeline` runs the pipelined scan ∥ merge executor.
 //!
 //! ```text
 //! cargo run --release -p ccl-bench --bin tiles_demo \
@@ -250,7 +249,5 @@ fn main() {
         std::fs::create_dir_all(dir).expect("create results dir");
     }
     write_json(&json_path, &result).expect("write json");
-    let history =
-        ccl_bench::append_history(&json_path, "tiles_demo", &result).expect("append history");
-    eprintln!("wrote {json_path} (+ {})", history.display());
+    eprintln!("wrote {json_path}");
 }

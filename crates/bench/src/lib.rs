@@ -7,13 +7,13 @@
 //!   ASCII figures from full measurement sweeps —
 //!   `cargo run --release -p ccl-bench --bin table2` (and `table4`,
 //!   `fig4`, `fig5`, `stream_demo`, `repro_all`). See each binary's
-//!   `--help`. `repro_all` also leaves two trajectory snapshots under
-//!   `results/` (`BENCH_paremsp.json`, `BENCH_stream.json`) so perf is
-//!   tracked commit to commit.
+//!   `--help`. Their JSON output goes under the git-ignored `results/`
+//!   by default; the repository benchmark (`perfbench/`) is the tracked
+//!   perf trajectory.
 //! * **Criterion benches** (`benches/`): statistical micro-benchmarks per
-//!   experiment, the three design-choice ablations of DESIGN.md
-//!   (union-find variant, scan strategy, merger implementation), and the
-//!   `ccl-stream` scaling bench — `cargo bench -p ccl-bench`.
+//!   experiment, three design-choice ablations (union-find variant, scan
+//!   strategy, merger implementation), and the `ccl-stream` scaling
+//!   bench — `cargo bench -p ccl-bench`.
 //!
 //! This library crate holds the shared experiment configuration.
 
@@ -210,73 +210,6 @@ impl BinArgs {
     }
 }
 
-/// File name of the perf-trajectory log appended by `repro_all`,
-/// `stream_demo`, `tiles_demo` and `pipeline_demo`: one JSON object per
-/// line, kept next to the JSON snapshot it records. With the default
-/// snapshot paths that is the committed `results/BENCH_HISTORY.jsonl`,
-/// so regressions are visible across commits (`git log -p results/…`);
-/// a run with `--json /tmp/…` leaves the committed log untouched.
-pub const HISTORY_FILE: &str = "BENCH_HISTORY.jsonl";
-
-/// Appends one record to the [`HISTORY_FILE`] in the directory of
-/// `snapshot` (a JSON snapshot the caller has written):
-/// `{"bench": <name>, "unix_ms": <now>, "data": <value>}` on a single
-/// line. Returns the history file's path.
-pub fn append_history<T: serde::Serialize>(
-    snapshot: &str,
-    bench: &str,
-    value: &T,
-) -> std::io::Result<std::path::PathBuf> {
-    use std::io::Write as _;
-    let to_io = |e: serde_json::Error| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
-    let unix_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_millis());
-    // the name goes through the serializer too, so quotes/backslashes in
-    // a future bench name can never corrupt the line log
-    let name = serde_json::to_string_pretty(&bench).map_err(to_io)?;
-    let data = serde_json::to_string_pretty(value).map_err(to_io)?;
-    let line = format!(
-        "{{\"bench\": {name}, \"unix_ms\": {unix_ms}, \"data\": {}}}\n",
-        compact_json(&data)
-    );
-    let path = std::path::Path::new(snapshot).with_file_name(HISTORY_FILE);
-    let mut f = std::fs::File::options()
-        .create(true)
-        .append(true)
-        .open(&path)?;
-    f.write_all(line.as_bytes())?;
-    Ok(path)
-}
-
-/// Collapses pretty-printed JSON to one line by dropping all whitespace
-/// outside string literals (JSON whitespace is insignificant there). The
-/// offline `serde_json` shim only pretty-prints; this keeps the history
-/// file one-record-per-line regardless.
-pub fn compact_json(pretty: &str) -> String {
-    let mut out = String::with_capacity(pretty.len());
-    let mut in_string = false;
-    let mut escaped = false;
-    for ch in pretty.chars() {
-        if in_string {
-            out.push(ch);
-            if escaped {
-                escaped = false;
-            } else if ch == '\\' {
-                escaped = true;
-            } else if ch == '"' {
-                in_string = false;
-            }
-        } else if ch == '"' {
-            in_string = true;
-            out.push(ch);
-        } else if !ch.is_whitespace() {
-            out.push(ch);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,39 +241,5 @@ mod tests {
         assert_eq!(a.merger_or_default(), MergerKind::default());
         a.merger = Some(MergerKind::Cas);
         assert_eq!(a.merger_or_default(), MergerKind::Cas);
-    }
-
-    #[test]
-    fn compact_json_strips_formatting_but_not_strings() {
-        let pretty = "{\n  \"a b\": [\n    1,\n    \"x \\\" y\\n\"\n  ]\n}";
-        assert_eq!(compact_json(pretty), "{\"a b\":[1,\"x \\\" y\\n\"]}");
-    }
-
-    #[test]
-    fn compact_json_round_trips_serializer_output() {
-        #[derive(serde::Serialize)]
-        struct S {
-            name: String,
-            xs: Vec<f64>,
-        }
-        let s = S {
-            name: "two words".into(),
-            xs: vec![1.5, 2.0],
-        };
-        let compact = compact_json(&serde_json::to_string_pretty(&s).unwrap());
-        assert!(!compact.contains('\n'));
-        assert!(compact.contains("\"two words\""));
-    }
-
-    #[test]
-    fn history_lands_next_to_the_snapshot() {
-        let dir = std::env::temp_dir().join(format!("ccl-history-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let snapshot = dir.join("BENCH_x.json");
-        let path = append_history(snapshot.to_str().unwrap(), "x", &[1, 2]).unwrap();
-        assert_eq!(path, dir.join(HISTORY_FILE));
-        let log = std::fs::read_to_string(&path).unwrap();
-        assert!(log.starts_with("{\"bench\": \"x\""), "{log}");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -6,16 +6,14 @@ use ccl_image::BinaryImage;
 
 use crate::label::LabelImage;
 use crate::par::paremsp;
-use crate::seq::{
-    aremsp, arun, ccllrpc, cclremsp, contour_label, flood_fill_label, multipass, run_based,
-};
+use crate::seq::{aremsp, arun, ccllrpc, cclremsp, flood_fill_label, run_based};
 
 /// The order in which an algorithm hands out final component labels.
 /// Labels are always consecutive `1..=k`; only the order differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Numbering {
     /// Raster order of each component's first (top-most-then-left-most)
-    /// pixel: one-line scans, run-based, multipass, flood fill.
+    /// pixel: one-line scans, run-based, flood fill.
     Raster,
     /// Row-pair scan order: the two-line scans visit the pixel pair
     /// `(r, c)`/`(r+1, c)` before `(r, c+1)`, so a component starting low
@@ -37,12 +35,8 @@ pub enum Algorithm {
     Aremsp,
     /// Run-based two-scan (ref \[43\]).
     RunBased,
-    /// Repeated-pass baseline (refs \[11\], \[12\]).
-    Multipass,
     /// BFS flood fill (oracle).
     FloodFill,
-    /// Contour tracing (Chang–Chen–Lu, ref \[4\]).
-    ContourTrace,
     /// PAREMSP with the given thread count (this paper — parallel).
     Paremsp(usize),
 }
@@ -59,17 +53,16 @@ impl Algorithm {
         ]
     }
 
-    /// Every sequential algorithm (baselines included).
-    pub fn all_sequential() -> [Algorithm; 8] {
+    /// Every sequential algorithm: the Table II four, the run-based
+    /// two-scan and the flood-fill oracle.
+    pub fn all_sequential() -> [Algorithm; 6] {
         [
             Algorithm::Ccllrpc,
             Algorithm::Cclremsp,
             Algorithm::Arun,
             Algorithm::Aremsp,
             Algorithm::RunBased,
-            Algorithm::Multipass,
             Algorithm::FloodFill,
-            Algorithm::ContourTrace,
         ]
     }
 
@@ -81,9 +74,7 @@ impl Algorithm {
             Algorithm::Arun => "ARun".into(),
             Algorithm::Aremsp => "ARemSP".into(),
             Algorithm::RunBased => "RUN".into(),
-            Algorithm::Multipass => "MultiPass".into(),
             Algorithm::FloodFill => "FloodFill".into(),
-            Algorithm::ContourTrace => "ContourTrace".into(),
             Algorithm::Paremsp(t) => format!("PARemSP({t})"),
         }
     }
@@ -106,9 +97,7 @@ impl Algorithm {
             Algorithm::Arun => arun(image),
             Algorithm::Aremsp => aremsp(image),
             Algorithm::RunBased => run_based(image),
-            Algorithm::Multipass => multipass(image),
             Algorithm::FloodFill => flood_fill_label(image),
-            Algorithm::ContourTrace => contour_label(image),
             Algorithm::Paremsp(threads) => paremsp(image, *threads),
         }
     }

@@ -7,7 +7,7 @@ use ccl_image::BinaryImage;
 ///
 /// All algorithms number components consecutively, but in one of two
 /// orders (see [`crate::algorithm::Numbering`]): raster order of the
-/// first pixel (decision-tree scans, run-based, multipass, flood fill)
+/// first pixel (decision-tree scans, run-based, flood fill)
 /// or row-pair scan order (the two-line scans: ARUN, AREMSP, PAREMSP).
 /// Outputs within one order compare with `==`; across orders, compare
 /// [`LabelImage::canonicalized`] forms (or use

@@ -17,11 +17,11 @@
 //! | [`seq::aremsp`]   | two-line scan | **RemSP** — the paper's best |
 //!
 //! The scan phases are generic over the structure (see [`scan`]), so every
-//! combination can be benchmarked (ablation A2 in DESIGN.md). Reference
-//! labelers — BFS flood fill ([`seq::flood_fill_label`]), the run-based
-//! two-scan of He et al. ([`seq::run_based()`]) and the repeated-pass
-//! baseline ([`seq::multipass()`]) — provide oracles and additional
-//! baselines.
+//! combination can be benchmarked (the `ablation_unionfind` bench). Two
+//! reference labelers sit beside them: BFS flood fill
+//! ([`seq::flood_fill_label`]), the oracle every other labeler is tested
+//! against, and the run-based two-scan of He et al.
+//! ([`seq::run_based()`]).
 //!
 //! ## PAREMSP (§IV)
 //!

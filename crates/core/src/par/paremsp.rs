@@ -91,9 +91,9 @@ pub struct ParemspConfig {
     pub merger: MergerKind,
     /// Lock stripes for [`MergerKind::Locked`]; `None` = default (2^16).
     pub lock_stripes: Option<usize>,
-    /// Run the FLATTEN phase in parallel too (extension beyond the paper,
-    /// which flattens sequentially; see the `ablation_flatten` bench for
-    /// when it pays off). Final labels are unchanged either way.
+    /// Run the FLATTEN phase in parallel too, one task per chunk's label
+    /// range (an extension beyond the paper, which flattens
+    /// sequentially). Final labels are unchanged either way.
     pub parallel_flatten: bool,
 }
 

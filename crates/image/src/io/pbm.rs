@@ -109,10 +109,14 @@ fn read_binary_body(data: &[u8], pos: &mut usize) -> Result<BinaryImage, ImageEr
         )));
     }
     let mut pixels = vec![0u8; n];
-    for r in 0..height {
-        let row_bytes = &data[*pos + r * bytes_per_row..*pos + (r + 1) * bytes_per_row];
-        for c in 0..width {
-            pixels[r * width + c] = (row_bytes[c / 8] >> (7 - c % 8)) & 1;
+    // Zero-width rows hold no bytes: skip them rather than loop over a
+    // height that only the header vouches for.
+    if width > 0 {
+        for r in 0..height {
+            let row_bytes = &data[*pos + r * bytes_per_row..*pos + (r + 1) * bytes_per_row];
+            for c in 0..width {
+                pixels[r * width + c] = (row_bytes[c / 8] >> (7 - c % 8)) & 1;
+            }
         }
     }
     *pos += need;

@@ -48,11 +48,18 @@ pub fn write_binary16(width: usize, height: usize, samples: &[u16]) -> Vec<u8> {
         "sample buffer size mismatch"
     );
     let mut out = Vec::with_capacity(samples.len() * 2 + 32);
-    out.extend_from_slice(format!("P5\n{width} {height}\n65535\n").as_bytes());
+    write_binary16_header(&mut out, width, height);
     for &s in samples {
         out.extend_from_slice(&s.to_be_bytes());
     }
     out
+}
+
+/// Appends the header of a 16-bit binary PGM (`P5`, maxval 65535) to
+/// `out`; `width * height` big-endian samples must follow it. Shared by
+/// [`write_binary16`] and writers that encode their samples in place.
+pub fn write_binary16_header(out: &mut Vec<u8>, width: usize, height: usize) {
+    out.extend_from_slice(format!("P5\n{width} {height}\n65535\n").as_bytes());
 }
 
 /// Parses a 16-bit binary PGM (`P5`, maxval in `256..=65535`) into its

@@ -334,6 +334,8 @@ pub struct SpillSink {
     format: SpillFormat,
     tiles: Vec<TileMeta>,
     merges: Vec<(ComponentId, ComponentId)>,
+    /// One file's bytes, reused by every tile write and by `close`.
+    buf: Vec<u8>,
 }
 
 impl SpillSink {
@@ -353,6 +355,7 @@ impl SpillSink {
             format,
             tiles: Vec::new(),
             merges: Vec::new(),
+            buf: Vec::new(),
         })
     }
 
@@ -377,7 +380,7 @@ impl SpillSink {
         let table = resolve_merges(&self.merges)?;
         if !table.is_empty() {
             let mut finals = FinalIds::new(&table);
-            let mut buf = Vec::new();
+            let mut buf = self.buf;
             for meta in &self.tiles {
                 let path = tile_path(&self.dir, self.format, meta);
                 let samples = load_tile(&path, self.format, meta, &mut buf)?;
@@ -407,7 +410,8 @@ impl TileSink for SpillSink {
     }
 
     fn tile(&mut self, meta: &TileMeta, gids: &[ComponentId]) -> Result<(), TilesError> {
-        write_tile(&self.dir, self.format, meta, gids)?;
+        encode_tile(self.format, meta, gids, &mut self.buf)?;
+        fs::write(tile_path(&self.dir, self.format, meta), &self.buf)?;
         self.tiles.push(*meta);
         Ok(())
     }
@@ -423,32 +427,51 @@ fn tile_path(dir: &Path, format: SpillFormat, meta: &TileMeta) -> PathBuf {
     ))
 }
 
-/// Writes one tile of component ids to its file in `dir`.
-fn write_tile(
-    dir: &Path,
+/// Encodes one tile of component ids into `out` (cleared first, its
+/// allocation reused): the PGM header if the format has one, then one
+/// [`SpillFormat::encode`]d sample per id. An id beyond the format's
+/// [`limit`](SpillFormat::limit) is a [`TilesError::LabelOverflow`],
+/// found in the same pass, before any file is written.
+fn encode_tile(
     format: SpillFormat,
     meta: &TileMeta,
-    gids: &[u64],
+    gids: &[ComponentId],
+    out: &mut Vec<u8>,
 ) -> Result<(), TilesError> {
-    let limit = format.limit();
-    if let Some(&bad) = gids.iter().find(|&&g| g > limit) {
-        return Err(TilesError::LabelOverflow { gid: bad, limit });
+    out.clear();
+    if format == SpillFormat::Pgm16 {
+        pgm::write_binary16_header(out, meta.width, meta.height);
     }
-    let bytes = match format {
-        SpillFormat::RawU32 => {
-            let mut out = Vec::with_capacity(gids.len() * 4);
-            for &g in gids {
-                out.extend_from_slice(&(g as u32).to_le_bytes());
-            }
-            out
-        }
-        SpillFormat::Pgm16 => {
-            let samples: Vec<u16> = gids.iter().map(|&g| g as u16).collect();
-            pgm::write_binary16(meta.width, meta.height, &samples)
-        }
+    let start = out.len();
+    out.resize(start + gids.len() * format.sample_bytes(), 0);
+    let samples = &mut out[start..];
+    let max = match format {
+        SpillFormat::RawU32 => encode_samples::<4>(format, gids, samples),
+        SpillFormat::Pgm16 => encode_samples::<2>(format, gids, samples),
     };
-    fs::write(tile_path(dir, format, meta), bytes)?;
+    let limit = format.limit();
+    if max > limit {
+        return Err(TilesError::LabelOverflow { gid: max, limit });
+    }
     Ok(())
+}
+
+/// Encodes `gids` into consecutive `N`-byte samples and returns the
+/// largest id. `N` is the format's sample width, fixed per call so the
+/// loop compiles to straight-line stores.
+#[inline]
+fn encode_samples<const N: usize>(
+    format: SpillFormat,
+    gids: &[ComponentId],
+    samples: &mut [u8],
+) -> ComponentId {
+    debug_assert_eq!(N, format.sample_bytes());
+    let mut max = 0;
+    for (&gid, sample) in gids.iter().zip(samples.chunks_exact_mut(N)) {
+        max = max.max(gid);
+        format.encode(gid, sample);
+    }
+    max
 }
 
 /// Maps every absorbed id among a tile's stored samples to its final id,
@@ -873,8 +896,11 @@ mod tests {
     fn pgm16_overflow_is_reported() {
         let dir = temp_dir("overflow");
         let mut sink = SpillSink::create(&dir, SpillFormat::Pgm16).unwrap();
-        let err = sink.tile(&meta(0, 0, 0, 0, 1, 1), &[70_000]).unwrap_err();
+        let tile = meta(0, 0, 0, 0, 2, 1);
+        let err = sink.tile(&tile, &[1, 70_000]).unwrap_err();
         assert!(matches!(err, TilesError::LabelOverflow { gid: 70_000, .. }));
+        // the check runs before the file is written
+        assert!(!tile_path(&dir, SpillFormat::Pgm16, &tile).exists());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -893,8 +919,11 @@ mod tests {
             merges: vec![(1, 2)],
         };
         write_manifest(&dir, &manifest).unwrap();
-        write_tile(&dir, SpillFormat::RawU32, &tiles[0], &[1, 1]).unwrap();
-        write_tile(&dir, SpillFormat::RawU32, &tiles[1], &[2, 2]).unwrap();
+        let mut buf = Vec::new();
+        for (meta, gids) in tiles.iter().zip([[1, 1], [2, 2]]) {
+            encode_tile(SpillFormat::RawU32, meta, &gids, &mut buf).unwrap();
+            fs::write(tile_path(&dir, SpillFormat::RawU32, meta), &buf).unwrap();
+        }
         let li = read_spilled_label_image(&dir).unwrap();
         assert_eq!(li.num_components(), 1);
         assert_eq!(li.as_slice(), &[1, 1, 1, 1]);

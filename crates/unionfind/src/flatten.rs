@@ -7,9 +7,9 @@
 //!
 //! Algorithm 3 visits labels in increasing order and relies on the
 //! **monotone parent invariant** `p[i] ≤ i` (every parent has a smaller or
-//! equal index, so a set's root is its minimum member). RemSP, MinUF and
-//! He's equivalence table maintain that invariant; rank- and size-linked
-//! structures do not, and use [`flatten_generic`] instead.
+//! equal index, so a set's root is its minimum member). RemSP and He's
+//! equivalence table maintain that invariant; rank-linked structures do
+//! not, and use [`flatten_generic`] instead.
 //!
 //! [`flatten_sparse_monotone`] extends Algorithm 3 to the gap-containing
 //! label spaces PAREMSP produces (each thread owns a disjoint range of the

@@ -8,16 +8,13 @@
 //! contribution rests on using **REM's union-find with splicing (RemSP)**
 //! — the fastest variant in the Patwary–Blair–Manne study (the paper's
 //! ref \[40\]) — instead of the structures used by the prior CCLLRPC and
-//! ARUN algorithms. This crate implements the full comparison suite:
+//! ARUN algorithms. This crate implements RemSP and the two structures of
+//! the Table II baselines:
 //!
 //! * [`RemSP`] — Rem's algorithm with the splicing (SP) compression, the
 //!   paper's Algorithm 2,
-//! * [`RankUF`] — array-based link-by-rank with path compression (the
-//!   union-find inside CCLLRPC, ref \[36\]); path-halving and path-splitting
-//!   compression options are included for the ablation benches,
-//! * [`SizeUF`] — link-by-size with path compression,
-//! * [`MinUF`] — link-by-minimum-root (keeps the smallest provisional
-//!   label as representative, the classic CCL choice),
+//! * [`RankUF`] — array-based link-by-rank with full path compression
+//!   (the union-find inside CCLLRPC, ref \[36\]),
 //! * [`HeEquivalence`] — the `rtable`/`next`/`tail` three-array structure
 //!   of He–Chao–Suzuki (refs \[37\], \[43\]) used by the ARUN baseline,
 //! * [`par`] — the shared-memory structures for PAREMSP: a lock-guarded
@@ -43,10 +40,8 @@ pub mod par;
 pub mod seq;
 
 pub use equivalence::HeEquivalence;
-pub use seq::min::MinUF;
-pub use seq::rank::{Compression, RankUF};
+pub use seq::rank::RankUF;
 pub use seq::rem::RemSP;
-pub use seq::size::SizeUF;
 
 /// The minimal interface the CCL scan phases need from a label-equivalence
 /// backend — shaped exactly like the paper's pseudocode:

@@ -249,105 +249,6 @@ impl ConcurrentParents {
         total
     }
 
-    /// Parallel sparse FLATTEN — an extension beyond the paper, which
-    /// leaves the analysis phase sequential (Algorithm 7 line 22).
-    /// Produces exactly the same final labels as
-    /// [`Self::flatten_sparse`]:
-    ///
-    /// 1. count roots per slot range (parallel),
-    /// 2. prefix-sum the counts (sequential, `threads` terms),
-    /// 3. write each root's final label into a shadow array (parallel),
-    /// 4. chase each non-root to its root and copy the root's final label
-    ///    (parallel; the original parents stay readable throughout),
-    /// 5. install the shadow array.
-    ///
-    /// Worth using only for very large label spaces; the
-    /// `ablation_flatten` bench quantifies the crossover.
-    pub fn flatten_sparse_parallel(&mut self, threads: usize) -> u32 {
-        let len = self.slots.len();
-        let threads = threads.max(1).min(len.max(1));
-        if len <= 1 || threads == 1 {
-            return self.flatten_sparse();
-        }
-        // slot ranges [start, end) over 1..len
-        let per = (len - 1).div_ceil(threads);
-        let ranges: Vec<(usize, usize)> = (0..threads)
-            .map(|t| (1 + t * per, (1 + (t + 1) * per).min(len)))
-            .filter(|(a, b)| a < b)
-            .collect();
-        // phase 1: root counts (rayon pool tasks, persistent workers)
-        let mut counts = vec![0u32; ranges.len()];
-        rayon::scope(|s| {
-            for (slot, &(a, b)) in counts.iter_mut().zip(&ranges) {
-                let this = &*self;
-                s.spawn(move |_| {
-                    let mut n = 0u32;
-                    for i in a..b {
-                        let p = this.load(i as u32);
-                        if p != UNUSED && p as usize == i {
-                            n += 1;
-                        }
-                    }
-                    *slot = n;
-                });
-            }
-        });
-        // phase 2: prefix sums (first final label per range)
-        let mut bases = Vec::with_capacity(ranges.len());
-        let mut running = 1u32;
-        for &c in &counts {
-            bases.push(running);
-            running += c;
-        }
-        let total = running - 1;
-        // phases 3 & 4: write root finals, then resolve non-roots
-        let finals: Vec<AtomicU32> = (0..len).map(|_| AtomicU32::new(UNUSED)).collect();
-        finals[0].store(0, Ordering::Relaxed);
-        rayon::scope(|s| {
-            for (&base, &(a, b)) in bases.iter().zip(&ranges) {
-                let this = &*self;
-                let finals = &finals;
-                s.spawn(move |_| {
-                    let mut next = base;
-                    for (i, f) in (a..b).zip(&finals[a..b]) {
-                        let p = this.load(i as u32);
-                        if p != UNUSED && p as usize == i {
-                            f.store(next, Ordering::Relaxed);
-                            next += 1;
-                        }
-                    }
-                });
-            }
-        });
-        rayon::scope(|s| {
-            for &(a, b) in &ranges {
-                let this = &*self;
-                let finals = &finals;
-                s.spawn(move |_| {
-                    for i in a..b {
-                        let p = this.load(i as u32);
-                        if p == UNUSED || p as usize == i {
-                            continue;
-                        }
-                        let mut root = p;
-                        while this.load(root) != root {
-                            root = this.load(root);
-                        }
-                        finals[i].store(
-                            finals[root as usize].load(Ordering::Relaxed),
-                            Ordering::Relaxed,
-                        );
-                    }
-                });
-            }
-        });
-        // phase 5: install
-        for (slot, f) in self.slots.iter_mut().zip(&finals) {
-            *slot.get_mut() = f.load(Ordering::Relaxed);
-        }
-        total
-    }
-
     /// Copies the current parent array out (testing / benchmarking aid:
     /// lets a benchmark restore pre-flatten state between iterations).
     pub fn snapshot(&self) -> Vec<u32> {
@@ -515,51 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_flatten_matches_sequential() {
-        // pseudo-random forests over a sparse label space
-        let mut state = 77u64;
-        let mut rnd = move |n: u64| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (state >> 33) % n
-        };
-        for trial in 0..10 {
-            let cap = 64 + trial * 37;
-            let p = ConcurrentParents::new(cap);
-            {
-                let mut store = p.chunk_store();
-                for l in 1..cap as u32 {
-                    if rnd(100) < 70 {
-                        store.new_label(l);
-                    }
-                }
-                for _ in 0..cap {
-                    let x = 1 + rnd(cap as u64 - 1) as u32;
-                    let y = 1 + rnd(cap as u64 - 1) as u32;
-                    if p.load(x) != crate::flatten::UNUSED && p.load(y) != crate::flatten::UNUSED {
-                        store.merge(x, y);
-                    }
-                }
-            }
-            let snapshot = p.snapshot();
-            let mut seq = ConcurrentParents::from_snapshot(&snapshot);
-            let mut par = ConcurrentParents::from_snapshot(&snapshot);
-            let k_seq = seq.flatten_sparse();
-            for threads in [2, 3, 8] {
-                let mut par2 = ConcurrentParents::from_snapshot(&snapshot);
-                let k_par = par2.flatten_sparse_parallel(threads);
-                assert_eq!(k_par, k_seq, "trial {trial}, {threads} threads");
-                assert_eq!(
-                    par2.snapshot(),
-                    seq.snapshot(),
-                    "trial {trial}, {threads} threads"
-                );
-            }
-            let k_par = par.flatten_sparse_parallel(4);
-            assert_eq!(k_par, k_seq, "trial {trial}");
-        }
-    }
-
-    #[test]
     fn snapshot_round_trip() {
         let p = ConcurrentParents::new(5);
         {
@@ -571,11 +427,5 @@ mod tests {
         let snap = p.snapshot();
         let q = ConcurrentParents::from_snapshot(&snap);
         assert_eq!(q.snapshot(), snap);
-    }
-
-    #[test]
-    fn parallel_flatten_empty_space() {
-        let mut p = ConcurrentParents::new(100);
-        assert_eq!(p.flatten_sparse_parallel(8), 0);
     }
 }

@@ -1,28 +1,25 @@
 //! Sequential union-find variants.
 //!
-//! All variants share the element model described at the crate root and
+//! Both variants share the element model described at the crate root and
 //! implement both [`crate::UnionFind`] and [`crate::EquivalenceStore`].
-//! The variants differ along the two axes studied by Patwary, Blair &
-//! Manne (the paper's ref \[40\]):
+//! They differ along the two axes studied by Patwary, Blair & Manne (the
+//! paper's ref \[40\]):
 //!
 //! | Variant | Linking rule | Compression |
 //! |---------|--------------|-------------|
 //! | [`rem::RemSP`] | by index (smaller index wins) | splicing, interleaved with the union walk |
-//! | [`rank::RankUF`] | by rank | full path compression / halving / splitting |
-//! | [`size::SizeUF`] | by size | full path compression |
-//! | [`min::MinUF`] | by minimum root | optional full path compression |
+//! | [`rank::RankUF`] | by rank | full path compression |
 
-pub mod min;
 pub mod rank;
 pub mod rem;
-pub mod size;
 
 #[cfg(test)]
 mod cross_tests {
-    //! Every sequential variant must produce identical partitions.
+    //! Every sequential variant (and He's equivalence table) must produce
+    //! identical partitions.
 
     use crate::testing::partition_of;
-    use crate::{Compression, MinUF, RankUF, RemSP, SizeUF, UnionFind};
+    use crate::{HeEquivalence, RankUF, RemSP, UnionFind};
 
     fn scripted_cases() -> Vec<(u32, Vec<(u32, u32)>)> {
         vec![
@@ -62,27 +59,11 @@ mod cross_tests {
     }
 
     fn all_partitions(n: u32, unions: &[(u32, u32)]) -> Vec<(&'static str, Vec<u32>)> {
-        let mut out = vec![
+        vec![
             ("rem", partition_of::<RemSP>(n, unions)),
-            ("rank-pc", partition_of::<RankUF>(n, unions)),
-            ("size", partition_of::<SizeUF>(n, unions)),
-            ("min", partition_of::<MinUF>(n, unions)),
-        ];
-        for (name, comp) in [
-            ("rank-none", Compression::None),
-            ("rank-halve", Compression::Halving),
-            ("rank-split", Compression::Splitting),
-        ] {
-            let mut uf = RankUF::new_with(comp);
-            for _ in 0..n {
-                uf.make_set();
-            }
-            for &(x, y) in unions {
-                uf.union(x, y);
-            }
-            out.push((name, crate::testing::canonical_partition(&mut uf)));
-        }
-        out
+            ("rank", partition_of::<RankUF>(n, unions)),
+            ("he", partition_of::<HeEquivalence>(n, unions)),
+        ]
     }
 
     #[test]
@@ -112,7 +93,6 @@ mod cross_tests {
     fn all_variants_agree_after_flatten() {
         for seed in 0..10u64 {
             let (n, unions) = pseudo_random_case(48, 60, seed);
-            let run = |mut uf: Box<dyn FnMut() -> (u32, Vec<u32>)>| uf();
             let flatten_with = |make: &dyn Fn() -> Box<dyn UnionFindDyn>| {
                 let mut uf = make();
                 for _ in 0..n {
@@ -124,12 +104,10 @@ mod cross_tests {
                 let k = uf.flatten_dyn();
                 (k, (0..n).map(|x| uf.resolve_dyn(x)).collect::<Vec<_>>())
             };
-            let _ = run; // silence helper if unused
             let reference = flatten_with(&|| Box::new(RemSP::new()));
             for (name, result) in [
                 ("rank", flatten_with(&|| Box::new(RankUF::new()))),
-                ("size", flatten_with(&|| Box::new(SizeUF::new()))),
-                ("min", flatten_with(&|| Box::new(MinUF::new()))),
+                ("he", flatten_with(&|| Box::new(HeEquivalence::new()))),
             ] {
                 assert_eq!(result, reference, "{name} flatten diverged, seed {seed}");
             }

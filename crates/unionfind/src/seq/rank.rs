@@ -2,8 +2,7 @@
 //! Suzuki, the paper's ref \[36\]): array-based, union by rank, with path
 //! compression. Gupta et al. cite the Patwary–Blair–Manne finding that
 //! this is *not* the best choice, which motivates RemSP; we implement it
-//! faithfully as the baseline, plus the path-halving / path-splitting
-//! compression alternatives for the ablation bench (A1 in DESIGN.md).
+//! faithfully as the baseline.
 //!
 //! Rank trees may be rooted at a non-minimal element, so the analysis
 //! phase uses [`crate::flatten::flatten_generic`] (the paper's Algorithm 3
@@ -12,53 +11,15 @@
 use crate::flatten::flatten_generic;
 use crate::{EquivalenceStore, UnionFind};
 
-/// Path-compression policy applied during [`UnionFind::find`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Compression {
-    /// Two-pass full path compression (the CCLLRPC choice).
-    #[default]
-    Full,
-    /// Path halving: every other node on the path points to its
-    /// grandparent (one pass).
-    Halving,
-    /// Path splitting: every node on the path points to its grandparent
-    /// (one pass).
-    Splitting,
-    /// No compression (for ablation comparisons only).
-    None,
-}
-
-/// Array-based union-find with union-by-rank.
-#[derive(Debug, Clone)]
+/// Array-based union-find with union-by-rank and full path compression.
+#[derive(Debug, Clone, Default)]
 pub struct RankUF {
     p: Vec<u32>,
     rank: Vec<u8>,
-    compression: Compression,
     flattened: bool,
 }
 
-impl Default for RankUF {
-    fn default() -> Self {
-        Self::new_with(Compression::Full)
-    }
-}
-
 impl RankUF {
-    /// Creates an empty structure with the given compression policy.
-    pub fn new_with(compression: Compression) -> Self {
-        RankUF {
-            p: Vec::new(),
-            rank: Vec::new(),
-            compression,
-            flattened: false,
-        }
-    }
-
-    /// The active compression policy.
-    pub fn compression(&self) -> Compression {
-        self.compression
-    }
-
     /// Read-only view of the parent array.
     pub fn parents(&self) -> &[u32] {
         &self.p
@@ -96,7 +57,6 @@ impl UnionFind for RankUF {
         RankUF {
             p: Vec::with_capacity(cap),
             rank: Vec::with_capacity(cap),
-            compression: Compression::Full,
             flattened: false,
         }
     }
@@ -109,37 +69,18 @@ impl UnionFind for RankUF {
         id
     }
 
+    /// Two-pass full path compression (the CCLLRPC choice): find the
+    /// root, then point every node on the path at it.
     #[inline]
     fn find(&mut self, x: u32) -> u32 {
         let mut x = x as usize;
-        match self.compression {
-            Compression::Full => {
-                let root = self.find_root(x);
-                while self.p[x] as usize != root {
-                    let next = self.p[x] as usize;
-                    self.p[x] = root as u32;
-                    x = next;
-                }
-                root as u32
-            }
-            Compression::Halving => {
-                while self.p[x] as usize != x {
-                    let parent = self.p[x] as usize;
-                    self.p[x] = self.p[parent];
-                    x = self.p[x] as usize;
-                }
-                x as u32
-            }
-            Compression::Splitting => {
-                while self.p[x] as usize != x {
-                    let parent = self.p[x] as usize;
-                    self.p[x] = self.p[parent];
-                    x = parent;
-                }
-                x as u32
-            }
-            Compression::None => self.find_root(x) as u32,
+        let root = self.find_root(x);
+        while self.p[x] as usize != root {
+            let next = self.p[x] as usize;
+            self.p[x] = root as u32;
+            x = next;
         }
+        root as u32
     }
 
     #[inline]
@@ -183,15 +124,6 @@ impl UnionFind for RankUF {
 mod tests {
     use super::*;
 
-    fn all_policies() -> [Compression; 4] {
-        [
-            Compression::Full,
-            Compression::Halving,
-            Compression::Splitting,
-            Compression::None,
-        ]
-    }
-
     #[test]
     fn union_by_rank_keeps_trees_shallow() {
         let mut uf = RankUF::new();
@@ -211,28 +143,8 @@ mod tests {
     }
 
     #[test]
-    fn all_compression_policies_agree() {
-        for comp in all_policies() {
-            let mut uf = RankUF::new_with(comp);
-            for _ in 0..16 {
-                uf.make_set();
-            }
-            for i in (1..16).step_by(2) {
-                uf.union(i - 1, i);
-            }
-            uf.union(0, 2);
-            uf.union(4, 6);
-            uf.union(0, 4);
-            assert!(uf.same(0, 7), "policy {comp:?}");
-            assert!(!uf.same(0, 8), "policy {comp:?}");
-            // sets: {0..=7}, {8,9}, {10,11}, {12,13}, {14,15}
-            assert_eq!(uf.count_sets(), 5, "policy {comp:?}");
-        }
-    }
-
-    #[test]
     fn full_compression_flattens_paths() {
-        let mut uf = RankUF::new_with(Compression::Full);
+        let mut uf = RankUF::new();
         for _ in 0..5 {
             uf.make_set();
         }
@@ -245,23 +157,6 @@ mod tests {
             assert_eq!(uf.find(i), root);
             assert_eq!(uf.p[i as usize], root);
         }
-    }
-
-    #[test]
-    fn halving_shortens_path() {
-        let mut uf = RankUF::new_with(Compression::Halving);
-        for _ in 0..4 {
-            uf.make_set();
-        }
-        // force a chain 3 -> 2 -> 1 -> 0 by hand-crafted unions is not
-        // possible with rank linking; emulate by direct parent writes via
-        // union on fresh singletons of equal rank.
-        uf.union(0, 1); // p[1] = 0, rank[0]=1
-        uf.union(2, 3); // p[3] = 2, rank[2]=1
-        uf.union(1, 3); // roots 0,2 equal rank -> p[2] = 0 (or p[0]=2)
-        let r = uf.find(3);
-        assert_eq!(r, uf.find(0));
-        assert_eq!(uf.count_sets(), 1);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use ccl_unionfind::flatten::{flatten_generic, flatten_monotone};
 use ccl_unionfind::par::{CasMerger, ConcurrentMerger, ConcurrentParents, LockedMerger};
 use ccl_unionfind::testing::{canonical_partition, partition_of};
-use ccl_unionfind::{EquivalenceStore, HeEquivalence, MinUF, RankUF, RemSP, SizeUF, UnionFind};
+use ccl_unionfind::{EquivalenceStore, HeEquivalence, RankUF, RemSP, UnionFind};
 
 fn arb_script() -> impl Strategy<Value = (u32, Vec<(u32, u32)>)> {
     (2u32..64).prop_flat_map(|n| {
@@ -74,8 +74,6 @@ proptest! {
     fn all_variants_same_partition((n, unions) in arb_script()) {
         let reference = partition_of::<RemSP>(n, &unions);
         prop_assert_eq!(&partition_of::<RankUF>(n, &unions), &reference);
-        prop_assert_eq!(&partition_of::<SizeUF>(n, &unions), &reference);
-        prop_assert_eq!(&partition_of::<MinUF>(n, &unions), &reference);
         prop_assert_eq!(&partition_of::<HeEquivalence>(n, &unions), &reference);
     }
 

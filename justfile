@@ -66,7 +66,7 @@ pipeline-smoke:
 fold-smoke:
     cargo run --locked --release -p ccl-bench --bin fold_smoke
 
-# Compile all ten criterion benches without running them.
+# Compile all eight criterion benches without running them.
 bench-smoke:
     cargo bench --locked --no-run --workspace
 
@@ -92,8 +92,8 @@ clean-tree:
 bench:
     cargo bench --workspace
 
-# Reproduce the paper's tables and figures (synthetic datasets) and
-# refresh the results/BENCH_*.json perf snapshots.
+# Reproduce the paper's tables and figures (synthetic datasets); JSON
+# goes to the git-ignored results/.
 repro:
     cargo run --release -p ccl-bench --bin repro_all
 

@@ -1,8 +1,7 @@
 //! Offline shim for the subset of
 //! [criterion](https://crates.io/crates/criterion) this workspace uses:
 //! `criterion_group!`/`criterion_main!`, benchmark groups with the usual
-//! knobs, `Bencher::iter`/`iter_batched`, `BenchmarkId`, `Throughput` and
-//! `BatchSize`.
+//! knobs, `Bencher::iter`, `BenchmarkId` and `Throughput`.
 //!
 //! Instead of criterion's statistical machinery, each benchmark runs a
 //! short fixed loop (1 warm-up iteration, then until ~`CCL_BENCH_MS`
@@ -43,18 +42,6 @@ pub enum Throughput {
     Elements(u64),
 }
 
-/// Hint for how `iter_batched` should size batches (ignored by the shim;
-/// every batch is a single iteration).
-#[derive(Debug, Clone, Copy)]
-pub enum BatchSize {
-    /// Small setup output.
-    SmallInput,
-    /// Large setup output.
-    LargeInput,
-    /// One setup call per iteration.
-    PerIteration,
-}
-
 /// Measurement state handed to the benchmark closure.
 #[derive(Debug, Default)]
 pub struct Bencher {
@@ -82,27 +69,6 @@ impl Bencher {
             black_box(f());
             self.iters += 1;
             self.elapsed = start.elapsed();
-            if self.elapsed >= budget || self.iters >= MAX_ITERS {
-                break;
-            }
-        }
-    }
-
-    /// Times `routine` on fresh inputs from `setup`; setup time is
-    /// excluded from the measurement.
-    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
-    where
-        S: FnMut() -> I,
-        R: FnMut(I) -> O,
-    {
-        black_box(routine(setup())); // warm-up, not timed
-        let budget = budget();
-        loop {
-            let input = setup();
-            let start = Instant::now();
-            black_box(routine(input));
-            self.elapsed += start.elapsed();
-            self.iters += 1;
             if self.elapsed >= budget || self.iters >= MAX_ITERS {
                 break;
             }
@@ -224,9 +190,6 @@ mod tests {
             .throughput(Throughput::Bytes(1024));
         group.bench_with_input(BenchmarkId::new("sum", 64), &64u64, |b, &n| {
             b.iter(|| (0..n).sum::<u64>())
-        });
-        group.bench_with_input(BenchmarkId::new("batched", 8), &8usize, |b, &n| {
-            b.iter_batched(|| vec![1u8; n], |v| v.len(), BatchSize::LargeInput)
         });
         group.finish();
     }

@@ -1,28 +1,10 @@
 //! Offline shim for the subset of [rayon](https://crates.io/crates/rayon)
-//! this workspace uses: `scope`/`spawn`, `current_num_threads`,
-//! `ThreadPoolBuilder`/`ThreadPool::install`, and `par_iter`/`par_iter_mut`
-//! with `for_each` on slices.
+//! this workspace uses: `scope` and `Scope::spawn`.
 //!
 //! Parallelism is real (scoped OS threads), but there is no work-stealing
-//! pool: each `scope` or `for_each` spawns its own scoped threads. That
-//! keeps the parallel *semantics* the PAREMSP tests assert while staying
+//! pool: each `scope` spawns its own scoped threads. That keeps the
+//! parallel *semantics* the PAREMSP tests assert while staying
 //! dependency-free. See `shims/README.md`.
-
-use std::cell::Cell;
-
-thread_local! {
-    /// Thread-count override installed by [`ThreadPool::install`].
-    static POOL_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// Number of threads the "current pool" would use: the
-/// [`ThreadPool::install`] override when inside one, otherwise the
-/// machine's available parallelism.
-pub fn current_num_threads() -> usize {
-    POOL_THREADS
-        .with(Cell::get)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
 
 /// A scope in which tasks can be spawned; mirrors `rayon::Scope` on top of
 /// [`std::thread::scope`].
@@ -49,213 +31,8 @@ where
     std::thread::scope(|s| f(&Scope { inner: s }))
 }
 
-/// Error returned by [`ThreadPoolBuilder::build`]; the shim never fails.
-#[derive(Debug)]
-pub struct ThreadPoolBuildError;
-
-impl std::fmt::Display for ThreadPoolBuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("thread pool build error (unreachable in shim)")
-    }
-}
-
-impl std::error::Error for ThreadPoolBuildError {}
-
-/// Builder mirroring `rayon::ThreadPoolBuilder`.
-#[derive(Debug, Default)]
-pub struct ThreadPoolBuilder {
-    num_threads: Option<usize>,
-}
-
-impl ThreadPoolBuilder {
-    /// Creates a builder with default (machine-sized) thread count.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the pool's thread count.
-    #[must_use]
-    pub fn num_threads(mut self, n: usize) -> Self {
-        self.num_threads = Some(n);
-        self
-    }
-
-    /// Builds the pool. Infallible in the shim.
-    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        Ok(ThreadPool {
-            num_threads: self
-                .num_threads
-                .filter(|&n| n > 0)
-                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
-        })
-    }
-}
-
-/// A "pool" that records its size; [`install`](ThreadPool::install) makes
-/// [`current_num_threads`] report that size inside the closure.
-#[derive(Debug)]
-pub struct ThreadPool {
-    num_threads: usize,
-}
-
-impl ThreadPool {
-    /// Returns the pool's configured thread count.
-    pub fn current_num_threads(&self) -> usize {
-        self.num_threads
-    }
-
-    /// Runs `op` with this pool as the "current" pool.
-    pub fn install<OP, R>(&self, op: OP) -> R
-    where
-        OP: FnOnce() -> R,
-    {
-        struct Restore(Option<usize>);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                POOL_THREADS.with(|c| c.set(self.0));
-            }
-        }
-        let _restore = Restore(POOL_THREADS.with(|c| c.replace(Some(self.num_threads))));
-        op()
-    }
-}
-
-/// Parallel iterator adapters (`par_iter`, `par_iter_mut`) for slices.
-pub mod iter {
-    use super::current_num_threads;
-
-    /// Shared-reference parallel iterator over a slice.
-    pub struct ParIter<'a, T> {
-        items: &'a [T],
-    }
-
-    /// Mutable parallel iterator over a slice.
-    pub struct ParIterMut<'a, T> {
-        items: &'a mut [T],
-    }
-
-    /// Extension trait providing [`par_iter`](ParallelSliceExt::par_iter).
-    pub trait ParallelSliceExt<T: Sync> {
-        /// Parallel counterpart of `[T]::iter`.
-        fn par_iter(&self) -> ParIter<'_, T>;
-    }
-
-    /// Mutable parallel iterator over fixed-size chunks of a slice.
-    pub struct ParChunksMut<'a, T> {
-        items: &'a mut [T],
-        chunk_size: usize,
-    }
-
-    /// Extension trait providing
-    /// [`par_iter_mut`](ParallelSliceMutExt::par_iter_mut) and
-    /// [`par_chunks_mut`](ParallelSliceMutExt::par_chunks_mut).
-    pub trait ParallelSliceMutExt<T: Send> {
-        /// Parallel counterpart of `[T]::iter_mut`.
-        fn par_iter_mut(&mut self) -> ParIterMut<'_, T>;
-
-        /// Parallel counterpart of `[T]::chunks_mut`.
-        fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T>;
-    }
-
-    impl<T: Sync> ParallelSliceExt<T> for [T] {
-        fn par_iter(&self) -> ParIter<'_, T> {
-            ParIter { items: self }
-        }
-    }
-
-    impl<T: Send> ParallelSliceMutExt<T> for [T] {
-        fn par_iter_mut(&mut self) -> ParIterMut<'_, T> {
-            ParIterMut { items: self }
-        }
-
-        fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T> {
-            assert!(chunk_size > 0, "chunk size must be non-zero");
-            ParChunksMut {
-                items: self,
-                chunk_size,
-            }
-        }
-    }
-
-    impl<'a, T: Sync> ParIter<'a, T> {
-        /// Applies `f` to every element, splitting the slice across the
-        /// current thread count.
-        pub fn for_each<F>(self, f: F)
-        where
-            F: Fn(&'a T) + Sync,
-        {
-            let len = self.items.len();
-            let threads = current_num_threads().clamp(1, len.max(1));
-            if threads <= 1 || len <= 1 {
-                self.items.iter().for_each(f);
-                return;
-            }
-            let chunk = len.div_ceil(threads);
-            std::thread::scope(|s| {
-                for part in self.items.chunks(chunk) {
-                    let f = &f;
-                    s.spawn(move || part.iter().for_each(f));
-                }
-            });
-        }
-    }
-
-    impl<T: Send> ParIterMut<'_, T> {
-        /// Applies `f` to every element, splitting the slice across the
-        /// current thread count.
-        pub fn for_each<F>(self, f: F)
-        where
-            F: Fn(&mut T) + Sync,
-        {
-            let len = self.items.len();
-            let threads = current_num_threads().clamp(1, len.max(1));
-            if threads <= 1 || len <= 1 {
-                self.items.iter_mut().for_each(f);
-                return;
-            }
-            let chunk = len.div_ceil(threads);
-            std::thread::scope(|s| {
-                for part in self.items.chunks_mut(chunk) {
-                    let f = &f;
-                    s.spawn(move || part.iter_mut().for_each(f));
-                }
-            });
-        }
-    }
-    impl<T: Send> ParChunksMut<'_, T> {
-        /// Applies `f` to every chunk, distributing chunks across the
-        /// current thread count.
-        pub fn for_each<F>(self, f: F)
-        where
-            F: Fn(&mut [T]) + Sync,
-        {
-            let num_chunks = self.items.len().div_ceil(self.chunk_size.max(1));
-            let threads = current_num_threads().clamp(1, num_chunks.max(1));
-            if threads <= 1 || num_chunks <= 1 {
-                self.items.chunks_mut(self.chunk_size).for_each(f);
-                return;
-            }
-            // Hand each thread a contiguous run of whole chunks.
-            let chunks_per_thread = num_chunks.div_ceil(threads);
-            std::thread::scope(|s| {
-                for part in self.items.chunks_mut(chunks_per_thread * self.chunk_size) {
-                    let f = &f;
-                    let chunk_size = self.chunk_size;
-                    s.spawn(move || part.chunks_mut(chunk_size).for_each(f));
-                }
-            });
-        }
-    }
-}
-
-/// Rayon-style prelude: brings the parallel-iterator traits into scope.
-pub mod prelude {
-    pub use crate::iter::{ParallelSliceExt, ParallelSliceMutExt};
-}
-
 #[cfg(test)]
 mod tests {
-    use super::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -269,32 +46,5 @@ mod tests {
             }
         });
         assert_eq!(counter.load(Ordering::Relaxed), 8);
-    }
-
-    #[test]
-    fn par_iter_mut_touches_every_element() {
-        let mut v: Vec<usize> = (0..1000).collect();
-        v.par_iter_mut().for_each(|x| *x += 1);
-        assert!(v.iter().enumerate().all(|(i, &x)| x == i + 1));
-    }
-
-    #[test]
-    fn par_iter_observes_every_element() {
-        let v: Vec<usize> = (0..257).collect();
-        let sum = AtomicUsize::new(0);
-        v[1..].par_iter().for_each(|&x| {
-            sum.fetch_add(x, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), (1..257).sum::<usize>());
-    }
-
-    #[test]
-    fn install_overrides_thread_count() {
-        let pool = super::ThreadPoolBuilder::new()
-            .num_threads(3)
-            .build()
-            .unwrap();
-        assert_eq!(pool.install(super::current_num_threads), 3);
-        assert_ne!(super::current_num_threads(), 0);
     }
 }

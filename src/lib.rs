@@ -9,8 +9,9 @@
 //!
 //! * [`image`] — binary/gray/RGB rasters, thresholding (`im2bw`), Netpbm
 //!   I/O (whole-buffer and incremental band decoding)
-//! * [`unionfind`] — REM's union-find with splicing plus every comparison
-//!   variant, and the parallel mergers
+//! * [`unionfind`] — REM's union-find with splicing, the link-by-rank
+//!   and He equivalence structures of the Table II baselines, and the
+//!   parallel mergers
 //! * [`core`] — the labeling algorithms: CCLLRPC, CCLREMSP, ARUN, AREMSP
 //!   (sequential) and PAREMSP (parallel)
 //! * [`datasets`] — synthetic stand-ins for the paper's Aerial / Texture /
@@ -65,13 +66,8 @@ pub mod prelude {
         region_properties, remove_small_components,
     };
     pub use ccl_core::label::LabelImage;
-    pub use ccl_core::par::{
-        multipass_parallel, paremsp, paremsp_rayon, paremsp_with, MergerKind, ParemspConfig,
-    };
-    pub use ccl_core::seq::{
-        aremsp, arun, ccllrpc, cclremsp, contour_label, flood_fill_label, label_four_connectivity,
-        label_grayscale, multipass, run_based,
-    };
+    pub use ccl_core::par::{paremsp, paremsp_with, MergerKind, ParemspConfig};
+    pub use ccl_core::seq::{aremsp, arun, ccllrpc, cclremsp, flood_fill_label, run_based};
     pub use ccl_core::verify::{labelings_equivalent, verify_labeling};
     pub use ccl_core::Algorithm;
     pub use ccl_image::threshold::im2bw;

@@ -66,7 +66,6 @@ fn exhaustive_4x4_all_sequential() {
             Algorithm::Arun,
             Algorithm::Aremsp,
             Algorithm::RunBased,
-            Algorithm::Multipass,
         ],
     );
 }

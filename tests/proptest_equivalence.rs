@@ -13,7 +13,7 @@ use paremsp::core::Algorithm;
 use paremsp::image::io::pbm;
 use paremsp::image::BinaryImage;
 use paremsp::unionfind::testing::partition_of;
-use paremsp::unionfind::{HeEquivalence, MinUF, RankUF, RemSP, SizeUF, UnionFind};
+use paremsp::unionfind::{HeEquivalence, RankUF, RemSP, UnionFind};
 
 /// Arbitrary small binary image: dimensions 1..=24, arbitrary pixels.
 fn arb_image() -> impl Strategy<Value = BinaryImage> {
@@ -85,8 +85,6 @@ proptest! {
             unions.into_iter().map(|(a, b)| (a % n, b % n)).collect();
         let reference = partition_of::<RemSP>(n, &unions);
         prop_assert_eq!(&partition_of::<RankUF>(n, &unions), &reference);
-        prop_assert_eq!(&partition_of::<SizeUF>(n, &unions), &reference);
-        prop_assert_eq!(&partition_of::<MinUF>(n, &unions), &reference);
         prop_assert_eq!(&partition_of::<HeEquivalence>(n, &unions), &reference);
     }
 
